@@ -95,9 +95,7 @@ int main() {
       };
     });
     whole_sweep.add_steps(rb.total_steps);
-    RunningStats random_steps;
-    for (const std::int64_t s : rb.steps.samples())
-      random_steps.add(static_cast<double>(s));
+    const SampleSet random_steps = rb.steps;
 
     // The identical random sweep through BatchEngine::kLane. The SoA
     // kernel is two-process-only, so every lane here takes the pooled
@@ -115,7 +113,7 @@ int main() {
 
     // The adaptive adversary scores every active process per pick — O(n)
     // per step on top of the ~n^2.3 steps — so its series stops at 1024.
-    RunningStats adv_steps;
+    SampleSet adv_steps;
     BatchSummary ab;
     if (n <= 1024) {
       opts.num_runs = static_cast<std::int64_t>(runs_adaptive(n));
@@ -127,11 +125,10 @@ int main() {
         };
       });
       whole_sweep.add_steps(ab.total_steps);
-      for (const std::int64_t s : ab.steps.samples())
-        adv_steps.add(static_cast<double>(s));
+      adv_steps = ab.steps;
     }
 
-    RunningStats split_steps;
+    SampleSet split_steps;
     if (n <= 8) {
       // Split-keeping run length explodes super-polynomially (it is designed
       // to stall the system); the series exists to show that, not to scale.
@@ -145,8 +142,7 @@ int main() {
         };
       });
       whole_sweep.add_steps(sb.total_steps);
-      for (const std::int64_t s : sb.steps.samples())
-        split_steps.add(static_cast<double>(s));
+      split_steps = sb.steps;
     }
 
     opts.num_runs = static_cast<std::int64_t>(runs_random(n));
@@ -171,9 +167,7 @@ int main() {
       };
     });
     whole_sweep.add_steps(cb.total_steps);
-    RunningStats crash_steps;
-    for (const std::int64_t s : cb.steps.samples())
-      crash_steps.add(static_cast<double>(s));
+    const SampleSet crash_steps = cb.steps;
 
     ns.push_back(std::log(static_cast<double>(n)));
     steps_random.push_back(std::log(random_steps.mean()));

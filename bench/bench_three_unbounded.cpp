@@ -81,11 +81,7 @@ int main() {
     const BatchSummary b = batch.run(opts, factory, max_num_probe);
 
     const SampleSet& max_nums = b.probe;
-    // Rebuild the mean through the same RunningStats add-sequence the serial
-    // loop used, so mean_total_steps.* stays bit-identical to baselines.
-    RunningStats total_steps;
-    for (const std::int64_t s : b.steps.samples())
-      total_steps.add(static_cast<double>(s));
+    const SampleSet& total_steps = b.steps;
     const std::int64_t max_bits = summarize(b.max_register_bits).max;
 
     const std::string label = adversarial ? "split-keeping" : "random";
@@ -136,16 +132,13 @@ int main() {
           return *s;
         };
       });
-      RunningStats steps;
-      for (const std::int64_t s : b.steps.samples())
-        steps.add(static_cast<double>(s));
       report.set_value(use_swsr ? "mean_total_steps.swsr"
                                 : "mean_total_steps.swmr",
-                       steps.mean());
+                       b.steps.mean());
       const auto& protocol = use_swsr ? static_cast<const Protocol&>(swsr)
                                       : static_cast<const Protocol&>(base);
       const auto specs = protocol.registers();
-      row({use_swsr ? "1W1R copies" : "1W2R (Fig 2)", fmt(steps.mean(), 2),
+      row({use_swsr ? "1W1R copies" : "1W2R (Fig 2)", fmt(b.steps.mean(), 2),
            fmt_int(static_cast<std::int64_t>(specs.size())),
            fmt_int(specs[0].width_bits) + "b x " +
                fmt_int(static_cast<std::int64_t>(specs.size()))});

@@ -74,12 +74,9 @@ SampleSet measure(const TwoProcessProtocol& protocol,
   opts.threads = bench_threads();
   const BatchSummary b = batch.run(opts, factory);
 
-  // Interleave p0/p1 per seed, the order the serial loop sampled in.
-  SampleSet steps;
-  for (std::size_t i = 0; i < b.steps_p0.samples().size(); ++i) {
-    steps.add(b.steps_p0.samples()[i]);
-    steps.add(b.steps_p1.samples()[i]);
-  }
+  // Both processes' own-step counts, one sample per process per run.
+  SampleSet steps = b.steps_p0;
+  steps.merge(b.steps_p1);
   if (report != nullptr) {
     add_batch_report(*report, scheduler_name, b);
     std::printf(

@@ -180,8 +180,8 @@ class BenchReport {
     j["max"] = obs::Json(static_cast<double>(m.max));
     samples_[key] = std::move(j);
     auto& h = metrics_.histogram("samples." + key);
-    for (const std::int64_t x : s.samples())
-      h.observe(static_cast<double>(x));
+    for (const auto& [value, count] : s.bins())
+      h.observe(static_cast<double>(value), count);
   }
 
   /// Write the report now (idempotent; the destructor calls it). No-op

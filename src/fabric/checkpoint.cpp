@@ -1,6 +1,7 @@
 #include "fabric/checkpoint.h"
 
 #include <algorithm>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -115,6 +116,19 @@ std::vector<int> CheckpointStore::open(const SweepConfig& config) {
     std::sort(completed_.begin(), completed_.end());
     completed_.erase(std::unique(completed_.begin(), completed_.end()),
                      completed_.end());
+    // A committed shard this binary cannot read (e.g. a batch_summary.v1
+    // file from an older build) must never be merged: refuse now, before
+    // any work, rather than after re-running the missing shards.
+    for (const int i : completed_) {
+      try {
+        (void)load_shard(i);
+      } catch (const std::exception& e) {
+        CIL_CHECK_MSG(false, "CheckpointStore: committed " + shard_path(i) +
+                                 " is unreadable (" + e.what() +
+                                 "); refusing to resume (use a fresh "
+                                 "directory)");
+      }
+    }
   }
 
   // Adopt orphans: shard files a killed worker finished writing (atomic, so
@@ -126,7 +140,7 @@ std::vector<int> CheckpointStore::open(const SweepConfig& config) {
     try {
       (void)load_shard(i);
     } catch (...) {
-      continue;  // torn predecessor-format or corrupt file: let a retry win
+      continue;  // torn, corrupt or older-format file: let a retry win
     }
     completed_.insert(
         std::upper_bound(completed_.begin(), completed_.end(), i), i);

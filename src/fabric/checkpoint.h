@@ -4,7 +4,7 @@
 //
 //   manifest.json       cilcoord.sweep_manifest.v1 — the sweep's config and
 //                       the sorted list of committed shard indexes
-//   shard_<i>.json      cilcoord.batch_summary.v1 for shard i
+//   shard_<i>.json      cilcoord.batch_summary.v2 for shard i
 //
 // The write protocol is two-phase and idempotent:
 //
@@ -21,7 +21,10 @@
 // DIFFERENT sweep must never be silently reused — that throws), and adopts
 // any valid orphaned shard files written by workers that died between
 // phases 1 and 2. Shard summaries are deterministic, so an orphan from a
-// killed attempt is byte-for-byte what a retry would recompute.
+// killed attempt is byte-for-byte what a retry would recompute. An orphan
+// this binary cannot parse (torn, corrupt, or an older batch_summary
+// version) is left for a retry to overwrite; a COMMITTED shard it cannot
+// parse makes open() throw rather than resume.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,10 @@
 #include "fabric/summary.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
+#include <cstdio>
+#include <limits>
 #include <string>
 
 #include "util/check.h"
@@ -11,28 +15,82 @@ namespace {
 
 using obs::Json;
 
-Json samples_to_json(const SampleSet& s) {
+constexpr const char* kHistogramNames[] = {"steps", "steps_p0", "steps_p1",
+                                           "max_register_bits", "probe"};
+
+/// The five histograms of a (const or mutable) summary, in
+/// kHistogramNames order.
+template <class Summary>
+auto histograms(Summary& s) {
+  return std::array{&s.steps, &s.steps_p0, &s.steps_p1, &s.max_register_bits,
+                    &s.probe};
+}
+
+Json histogram_to_json(const SampleSet& s) {
   Json arr = Json::array();
-  for (const std::int64_t x : s.samples()) arr.push_back(Json(x));
+  for (const auto& [value, count] : s.bins()) {
+    Json bin = Json::array();
+    bin.push_back(Json(value));
+    bin.push_back(Json(count));
+    arr.push_back(std::move(bin));
+  }
   return arr;
 }
 
-SampleSet samples_from_json(const Json& arr, std::int64_t expect,
-                            const char* name) {
+[[noreturn]] void reject(const std::string& what) {
+  throw ContractViolation("batch_summary artifact: " + what);
+}
+
+/// Bins must be [value, count] pairs, strictly ascending by value, with
+/// positive counts whose sum fits int64.
+SampleSet histogram_from_json(const Json& arr, const std::string& name) {
   SampleSet out;
-  for (const Json& x : arr.as_array()) out.add(x.as_int());
-  CIL_CHECK_MSG(out.count() == expect || out.count() == 0,
-                std::string("batch_summary artifact: sample vector '") + name +
-                    "' length disagrees with num_runs");
+  std::int64_t prev = 0;
+  for (const Json& bin : arr.as_array()) {
+    if (!bin.is_array() || bin.size() != 2)
+      reject("histogram '" + name + "' bin is not a [value, count] pair");
+    const std::int64_t value = bin.at(0).as_int();
+    const std::int64_t count = bin.at(1).as_int();
+    if (out.count() > 0 && value <= prev)
+      reject("histogram '" + name + "' values not strictly ascending");
+    if (count <= 0) reject("histogram '" + name + "' has a non-positive count");
+    if (count > std::numeric_limits<std::int64_t>::max() - out.count())
+      reject("histogram '" + name + "' counts overflow");
+    out.add(value, count);
+    prev = value;
+  }
   return out;
 }
 
-std::uint64_t parse_seed_string(const Json& j) {
-  const std::string& s = j.as_string();
-  CIL_CHECK_MSG(!s.empty() && s.find_first_not_of("0123456789") ==
-                                  std::string::npos,
-                "batch_summary artifact: first_seed must be a decimal string");
-  return std::stoull(s);
+template <class T>
+T parse_decimal(const std::string& s, const char* what) {
+  T out{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+  if (s.empty() || ec != std::errc() || ptr != end)
+    reject(std::string(what) + " is not a decimal integer in range");
+  return out;
+}
+
+std::string fingerprint_to_hex(std::uint64_t f) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(f));
+  return buf;
+}
+
+std::uint64_t fingerprint_from_hex(const std::string& s) {
+  if (s.size() != 16 ||
+      s.find_first_not_of("0123456789abcdef") != std::string::npos)
+    reject("fingerprint must be 16 lowercase hex digits");
+  std::uint64_t out = 0;
+  std::from_chars(s.data(), s.data() + s.size(), out, 16);
+  return out;
+}
+
+std::int64_t non_negative(const Json& j, const char* name) {
+  const std::int64_t v = j.as_int();
+  if (v < 0) reject(std::string("negative ") + name);
+  return v;
 }
 
 }  // namespace
@@ -52,14 +110,13 @@ Json shard_summary_to_json(const ShardSummary& shard) {
   doc["decision_counts"] = std::move(decisions);
   doc["total_steps"] = Json(s.total_steps);
   doc["recoveries"] = Json(s.recoveries);
+  doc["fingerprint"] = Json(fingerprint_to_hex(s.fingerprint));
 
-  Json samples = Json::object();
-  samples["steps"] = samples_to_json(s.steps);
-  samples["steps_p0"] = samples_to_json(s.steps_p0);
-  samples["steps_p1"] = samples_to_json(s.steps_p1);
-  samples["max_register_bits"] = samples_to_json(s.max_register_bits);
-  samples["probe"] = samples_to_json(s.probe);
-  doc["samples"] = std::move(samples);
+  Json hists = Json::object();
+  const auto sets = histograms(s);
+  for (std::size_t i = 0; i < sets.size(); ++i)
+    hists[kHistogramNames[i]] = histogram_to_json(*sets[i]);
+  doc["histograms"] = std::move(hists);
 
   Json wall = Json::object();
   wall["wall_seconds"] = Json(s.wall_seconds);
@@ -70,36 +127,44 @@ Json shard_summary_to_json(const ShardSummary& shard) {
 }
 
 ShardSummary shard_summary_from_json(const Json& doc) {
-  CIL_CHECK_MSG(doc.is_object() && doc.find("artifact") != nullptr &&
-                    doc.at("artifact").as_string() == kBatchSummaryArtifactName,
-                "not a cilcoord.batch_summary.v1 artifact");
+  const Json* tag = doc.find("artifact");
+  if (tag == nullptr || !tag->is_string() ||
+      tag->as_string() != kBatchSummaryArtifactName)
+    reject(std::string("not a ") + kBatchSummaryArtifactName + " document");
   ShardSummary out;
-  out.range.first_seed = parse_seed_string(doc.at("first_seed"));
-  out.range.num_runs = doc.at("num_runs").as_int();
-  CIL_CHECK_MSG(out.range.num_runs >= 0,
-                "batch_summary artifact: negative num_runs");
+  out.range.first_seed = parse_decimal<std::uint64_t>(
+      doc.at("first_seed").as_string(), "first_seed");
+  out.range.num_runs = non_negative(doc.at("num_runs"), "num_runs");
 
   BatchSummary& s = out.summary;
   s.num_runs = out.range.num_runs;
-  s.decided_runs = doc.at("decided_runs").as_int();
+  s.decided_runs = non_negative(doc.at("decided_runs"), "decided_runs");
+  if (s.decided_runs > s.num_runs) reject("decided_runs exceeds num_runs");
+  std::int64_t deciding = 0;
   for (const auto& [key, count] : doc.at("decision_counts").as_object()) {
-    CIL_CHECK_MSG(!key.empty(), "batch_summary artifact: empty decision key");
-    s.decision_counts[static_cast<Value>(std::stol(key))] = count.as_int();
+    const Value value = parse_decimal<Value>(key, "decision key");
+    if (value == kNoValue || std::to_string(value) != key)
+      reject("decision key '" + key + "' is not a canonical decision value");
+    const std::int64_t c = count.as_int();
+    if (c <= 0 || c > s.num_runs - deciding)
+      reject("decision counts are non-positive or exceed num_runs");
+    deciding += c;
+    s.decision_counts[value] = c;
   }
-  s.total_steps = doc.at("total_steps").as_int();
-  s.recoveries = doc.at("recoveries").as_int();
+  s.total_steps = non_negative(doc.at("total_steps"), "total_steps");
+  s.recoveries = non_negative(doc.at("recoveries"), "recoveries");
+  s.fingerprint = fingerprint_from_hex(doc.at("fingerprint").as_string());
 
-  const Json& samples = doc.at("samples");
-  s.steps = samples_from_json(samples.at("steps"), s.num_runs, "steps");
-  s.steps_p0 =
-      samples_from_json(samples.at("steps_p0"), s.num_runs, "steps_p0");
-  s.steps_p1 =
-      samples_from_json(samples.at("steps_p1"), s.num_runs, "steps_p1");
-  s.max_register_bits = samples_from_json(samples.at("max_register_bits"),
-                                          s.num_runs, "max_register_bits");
-  s.probe = samples_from_json(samples.at("probe"), s.num_runs, "probe");
-  CIL_CHECK_MSG(s.steps.count() == s.num_runs,
-                "batch_summary artifact: steps samples missing");
+  const Json& hists = doc.at("histograms");
+  const auto sets = histograms(s);
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    const std::string name = kHistogramNames[i];
+    *sets[i] = histogram_from_json(hists.at(name), name);
+    const bool may_be_empty = sets[i] == &s.probe;
+    if (sets[i]->count() != s.num_runs &&
+        !(may_be_empty && sets[i]->count() == 0))
+      reject("histogram '" + name + "' total disagrees with num_runs");
+  }
 
   const Json& wall = doc.at("wall");
   s.wall_seconds = wall.at("wall_seconds").as_number();
@@ -112,11 +177,9 @@ bool deterministic_fields_equal(const BatchSummary& a, const BatchSummary& b) {
   return a.num_runs == b.num_runs && a.decided_runs == b.decided_runs &&
          a.decision_counts == b.decision_counts &&
          a.total_steps == b.total_steps && a.recoveries == b.recoveries &&
-         a.steps.samples() == b.steps.samples() &&
-         a.steps_p0.samples() == b.steps_p0.samples() &&
-         a.steps_p1.samples() == b.steps_p1.samples() &&
-         a.max_register_bits.samples() == b.max_register_bits.samples() &&
-         a.probe.samples() == b.probe.samples();
+         a.fingerprint == b.fingerprint && a.steps == b.steps &&
+         a.steps_p0 == b.steps_p0 && a.steps_p1 == b.steps_p1 &&
+         a.max_register_bits == b.max_register_bits && a.probe == b.probe;
 }
 
 void SweepSummary::check_disjoint(const SeedRange& range) const {
@@ -203,22 +266,7 @@ BatchSummary SweepSummary::to_partial_batch_summary() const {
   BatchSummary out;
   for (const auto& [first_seed, shard] : shards_) {
     (void)first_seed;
-    const BatchSummary& s = shard.summary;
-    out.num_runs += s.num_runs;
-    out.decided_runs += s.decided_runs;
-    for (const auto& [value, count] : s.decision_counts)
-      out.decision_counts[value] += count;
-    out.total_steps += s.total_steps;
-    out.recoveries += s.recoveries;
-    for (const std::int64_t x : s.steps.samples()) out.steps.add(x);
-    for (const std::int64_t x : s.steps_p0.samples()) out.steps_p0.add(x);
-    for (const std::int64_t x : s.steps_p1.samples()) out.steps_p1.add(x);
-    for (const std::int64_t x : s.max_register_bits.samples())
-      out.max_register_bits.add(x);
-    for (const std::int64_t x : s.probe.samples()) out.probe.add(x);
-    out.wall_seconds += s.wall_seconds;
-    out.construct_seconds += s.construct_seconds;
-    out.run_seconds += s.run_seconds;
+    out.merge(shard.summary);
   }
   return out;
 }

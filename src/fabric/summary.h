@@ -2,15 +2,20 @@
 //
 // A distributed sweep is a set of worker processes, each running one
 // contiguous SeedRange shard through BatchRunner and persisting its
-// BatchSummary as a versioned JSON artifact (cilcoord.batch_summary.v1).
+// BatchSummary as a versioned JSON artifact (cilcoord.batch_summary.v2).
+// The artifact's size is O(distinct values), not O(runs): the per-run
+// distributions travel as exact value -> count histograms, and which seed
+// produced which record is pinned by a 64-bit fingerprint sum (see
+// run_fingerprint in sched/batch.h).
+//
 // Shards combine through SweepSummary, a map keyed by each shard's
-// first_seed whose union is the merge operation. Because shards must be
-// pairwise-disjoint seed ranges and the map iterates in seed order, the
+// first_seed whose union is the merge operation. Shards must be
+// pairwise-disjoint seed ranges, and every field of a summary reduces by
+// addition (counts, sums, histogram bins, the fingerprint mod 2^64), so the
 // merge is associative and commutative BY CONSTRUCTION: any merge tree over
-// any arrival order yields the same map, and to_batch_summary() then
-// re-runs the exact seed-order reduction BatchRunner would have done — so
-// the merged summary is bit-identical to a single-process sweep over the
-// whole range (pinned by fabric_test against random partitions).
+// any arrival order yields the same summary, bit-identical to a
+// single-process sweep over the whole range (pinned by fabric_test against
+// random partitions).
 //
 // What "bit-identical" covers: every field of BatchSummary except the
 // wall-clock block (wall_seconds / construct_seconds / run_seconds), which
@@ -30,33 +35,37 @@ namespace cil::fabric {
 
 /// Artifact tag for one serialized shard (or merged sweep) summary.
 inline constexpr const char* kBatchSummaryArtifactName =
-    "cilcoord.batch_summary.v1";
+    "cilcoord.batch_summary.v2";
 
 /// One shard's result: which seeds it covered and what came out. The range
 /// is carried redundantly with summary.num_runs so a parsed artifact can be
-/// validated (num_runs must equal range.num_runs and every sample vector's
-/// length).
+/// validated (num_runs must equal range.num_runs and every histogram's
+/// total).
 struct ShardSummary {
   SeedRange range;
   BatchSummary summary;
 };
 
-/// Serialize one shard summary as a cilcoord.batch_summary.v1 document.
+/// Serialize one shard summary as a cilcoord.batch_summary.v2 document.
 /// Seeds are 64-bit and JSON numbers are doubles, so first_seed travels as
-/// a decimal string (same convention as search artifacts' sched_seed).
-/// Sample vectors are emitted in full, in seed order — they are the payload
-/// that makes the merge exact rather than approximate.
+/// a decimal string (same convention as search artifacts' sched_seed), and
+/// the fingerprint as 16 lowercase hex digits. Histograms are arrays of
+/// [value, count] pairs, ascending by value.
 obs::Json shard_summary_to_json(const ShardSummary& shard);
 
-/// Parse and validate a cilcoord.batch_summary.v1 document. Throws
-/// ContractViolation on a wrong artifact tag, malformed fields, or sample
-/// vectors whose lengths disagree with num_runs.
+/// Parse and validate a cilcoord.batch_summary.v2 document. Fleet peers
+/// feed this untrusted bytes, so it throws ContractViolation on anything
+/// but a well-formed document: a wrong artifact tag (v1 included), missing
+/// or mistyped fields, counts out of range, histogram bins that are not
+/// strictly ascending, non-positive bin counts, bin totals other than
+/// num_runs (the probe histogram may also be empty), or a malformed
+/// fingerprint.
 ShardSummary shard_summary_from_json(const obs::Json& doc);
 
 /// True when every deterministic field of the two summaries matches exactly
-/// (counts, decision histogram, and all five sample vectors element-wise).
-/// The wall-clock block is ignored — it is honest measurement, not part of
-/// the contract.
+/// (counts, decision histogram, all five sample histograms, and the
+/// fingerprint). The wall-clock block is ignored — it is honest
+/// measurement, not part of the contract.
 bool deterministic_fields_equal(const BatchSummary& a, const BatchSummary& b);
 
 /// An order-insensitive accumulation of disjoint shard summaries. The merge
@@ -87,17 +96,16 @@ class SweepSummary {
   /// meaningful when contiguous(); throws ContractViolation when empty.
   SeedRange span() const;
 
-  /// Concatenate the shards, in seed order, into one BatchSummary — the
-  /// same reduction order BatchRunner uses, hence bit-identical to a
+  /// Add the shards into one BatchSummary — bit-identical to a
   /// single-process run when the shards are contiguous and complete.
   /// Wall-clock fields are summed across shards. Throws ContractViolation
   /// when the shards are not contiguous (a partial sweep must be reported
-  /// as partial, not silently concatenated across a gap).
+  /// as partial, not silently summed across a gap).
   BatchSummary to_batch_summary() const;
 
-  /// Like to_batch_summary(), but for graceful degradation: concatenates
-  /// whatever shards are present, gaps and all. Callers must report the
-  /// missing ranges alongside (tools/sweep prints incomplete_shards).
+  /// Like to_batch_summary(), but for graceful degradation: adds whatever
+  /// shards are present, gaps and all. Callers must report the missing
+  /// ranges alongside (tools/sweep prints incomplete_shards).
   BatchSummary to_partial_batch_summary() const;
 
   /// {span(), to_batch_summary()} as one ShardSummary — the whole-sweep

@@ -1,12 +1,14 @@
 #include "obs/export.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <istream>
 #include <map>
 #include <ostream>
+#include <thread>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -372,7 +374,14 @@ void fsync_parent_dir(const std::string& path) {
 bool write_text_file_atomic(const std::string& path,
                             const std::string& content) {
   // Same directory as the destination so the rename cannot cross devices.
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  // The name is unique per call (pid, thread, process-wide counter): two
+  // threads writing one path must never share a temp file, or their writes
+  // interleave and the rename installs a torn file.
+  static std::atomic<std::uint64_t> calls{0};
+  const std::string tmp =
+      path + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(std::hash<std::thread::id>{}(std::this_thread::get_id())) +
+      "." + std::to_string(calls.fetch_add(1, std::memory_order_relaxed));
   const int fd = net::open_retry(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC);
   if (fd < 0) {
     std::fprintf(stderr, "obs: cannot open %s for writing\n", tmp.c_str());

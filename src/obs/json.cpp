@@ -268,6 +268,8 @@ double Json::as_number() const {
 
 std::int64_t Json::as_int() const {
   const double d = as_number();
+  // Range first: converting an out-of-range double to int64 is UB.
+  CIL_CHECK_MSG(d >= -0x1p63 && d < 0x1p63, "Json: number out of int64 range");
   const auto i = static_cast<std::int64_t>(d);
   CIL_CHECK_MSG(static_cast<double>(i) == d, "Json: number is not integral");
   return i;

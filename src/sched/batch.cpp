@@ -10,6 +10,7 @@
 
 #include "fault/sim_faults.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace cil {
 
@@ -20,24 +21,6 @@ using Clock = std::chrono::steady_clock;
 double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
-
-/// The per-run facts a worker records into its preallocated seed-order slot.
-/// Plain data only — the reduction happens single-threaded afterwards.
-struct RunRecord {
-  std::int64_t total_steps = 0;
-  std::int64_t steps_p0 = 0;
-  std::int64_t steps_p1 = 0;
-  std::int64_t recoveries = 0;
-  int max_register_bits = 0;
-  Value decision = kNoValue;
-  bool all_decided = false;
-  std::int64_t probe = 0;
-};
-
-struct WorkerTiming {
-  double construct = 0.0;
-  double run = 0.0;
-};
 
 }  // namespace
 
@@ -72,6 +55,59 @@ std::vector<SeedRange> shard_seed_range(const SeedRange& range,
     done += len;
   }
   return out;
+}
+
+std::uint64_t run_fingerprint(std::uint64_t seed, const RunRecord& record) {
+  // Absorb one field per round through splitmix64's step (golden-ratio
+  // increment, then its avalanche finalizer), from a fixed key.
+  std::uint64_t h = 0x243f6a8885a308d3ULL;  // pi's fraction bits
+  const auto absorb = [&h](std::uint64_t field) {
+    h = SplitMix64(h + field).next();
+  };
+  absorb(seed);
+  absorb(static_cast<std::uint64_t>(record.total_steps));
+  absorb(static_cast<std::uint64_t>(record.steps_p0));
+  absorb(static_cast<std::uint64_t>(record.steps_p1));
+  absorb(static_cast<std::uint64_t>(record.recoveries));
+  absorb(static_cast<std::uint64_t>(record.max_register_bits));
+  absorb(static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(record.decision)));
+  absorb(record.all_decided ? 1 : 0);
+  absorb(static_cast<std::uint64_t>(record.probe));
+  return h;
+}
+
+void BatchSummary::add_run(std::uint64_t seed, const RunRecord& record,
+                           bool probed) {
+  ++num_runs;
+  if (record.all_decided) ++decided_runs;
+  if (record.decision != kNoValue) ++decision_counts[record.decision];
+  total_steps += record.total_steps;
+  recoveries += record.recoveries;
+  steps.add(record.total_steps);
+  steps_p0.add(record.steps_p0);
+  steps_p1.add(record.steps_p1);
+  max_register_bits.add(record.max_register_bits);
+  if (probed) probe.add(record.probe);
+  fingerprint += run_fingerprint(seed, record);
+}
+
+void BatchSummary::merge(const BatchSummary& other) {
+  num_runs += other.num_runs;
+  decided_runs += other.decided_runs;
+  for (const auto& [value, count] : other.decision_counts)
+    decision_counts[value] += count;
+  total_steps += other.total_steps;
+  recoveries += other.recoveries;
+  steps.merge(other.steps);
+  steps_p0.merge(other.steps_p0);
+  steps_p1.merge(other.steps_p1);
+  max_register_bits.merge(other.max_register_bits);
+  probe.merge(other.probe);
+  fingerprint += other.fingerprint;
+  wall_seconds += other.wall_seconds;
+  construct_seconds += other.construct_seconds;
+  run_seconds += other.run_seconds;
 }
 
 BatchRunner::BatchRunner(const Protocol& protocol, std::vector<Value> inputs)
@@ -142,33 +178,37 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
       threads, 1, options.num_runs));
 
   std::atomic<bool> cancelled{false};  ///< any worker saw the cancel flag
-  std::vector<RunRecord> records(static_cast<std::size_t>(options.num_runs));
-  std::vector<WorkerTiming> timing(static_cast<std::size_t>(threads));
+  // One private tally per worker (its runs, plus its construct/run time);
+  // all are added after join. Cache-line aligned: workers update theirs on
+  // every run, and neighbours must not share a line.
+  struct alignas(64) Tally {
+    BatchSummary summary;
+  };
+  std::vector<Tally> tallies(static_cast<std::size_t>(threads));
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(threads));
   std::vector<std::int64_t> error_run(
       static_cast<std::size_t>(threads),
       std::numeric_limits<std::int64_t>::max());
 
-  // engine=kLane shard execution: same shard boundaries, same seed-indexed
-  // record slots, same earliest-seed error attribution — only the inner
-  // loop changes, from one pooled Simulation to W lockstep lanes. The
-  // reduction below cannot tell the workers apart, which is exactly the
-  // thread-count/engine-invariance contract.
+  // engine=kLane shard execution: same shard boundaries, same per-worker
+  // tally, same earliest-seed error attribution — only the inner loop
+  // changes, from one pooled Simulation to W lockstep lanes. Lanes finish
+  // out of seed order, which the commutative tally cannot see: that is
+  // exactly the thread-count/engine-invariance contract.
   const auto lane_worker = [&](int w, std::int64_t begin, std::int64_t end) {
-    WorkerTiming& wt = timing[static_cast<std::size_t>(w)];
+    BatchSummary& tally = tallies[static_cast<std::size_t>(w)].summary;
     try {
       const auto c0 = Clock::now();
       LaneEngine engine(protocol_, inputs_);
       const LaneRunOptions lo = lane_options();
       const auto c1 = Clock::now();
-      wt.construct += seconds_between(c0, c1);
+      tally.construct_seconds += seconds_between(c0, c1);
       bool complete = false;
       try {
         complete = engine.run(
             options.first_seed + static_cast<std::uint64_t>(begin),
             end - begin, lo, [&](const LaneRunView& v) {
-              RunRecord& rec = records[static_cast<std::size_t>(
-                  v.seed - options.first_seed)];
+              RunRecord rec;
               rec.total_steps = v.total_steps;
               rec.steps_p0 = v.steps_p0;
               rec.steps_p1 = v.steps_p1;
@@ -176,6 +216,7 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
               rec.max_register_bits = v.max_register_bits;
               rec.decision = v.decision;
               rec.all_decided = v.all_decided;
+              tally.add_run(v.seed, rec, false);
               if (after_run != nullptr) after_run(v.seed);
             });
       } catch (...) {
@@ -183,7 +224,7 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
             begin + std::max<std::int64_t>(0, engine.failed_run_index());
         throw;
       }
-      wt.run += seconds_between(c1, Clock::now());
+      tally.run_seconds += seconds_between(c1, Clock::now());
       if (!complete) cancelled.store(true, std::memory_order_relaxed);
     } catch (...) {
       errors[static_cast<std::size_t>(w)] = std::current_exception();
@@ -194,7 +235,7 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
   };
 
   const auto scalar_worker = [&](int w, std::int64_t begin, std::int64_t end) {
-    WorkerTiming& wt = timing[static_cast<std::size_t>(w)];
+    BatchSummary& tally = tallies[static_cast<std::size_t>(w)].summary;
     std::int64_t i = begin;
     try {
       const SchedulerProvider provide = make_scheduler();
@@ -242,10 +283,10 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
         const auto c1 = Clock::now();
         const SimResult r = sim->run(*sched);
         const auto c2 = Clock::now();
-        wt.construct += seconds_between(c0, c1);
-        wt.run += seconds_between(c1, c2);
+        tally.construct_seconds += seconds_between(c0, c1);
+        tally.run_seconds += seconds_between(c1, c2);
 
-        RunRecord& rec = records[static_cast<std::size_t>(i)];
+        RunRecord rec;
         rec.total_steps = r.total_steps;
         if (!r.steps_per_process.empty()) {
           rec.steps_p0 = r.steps_per_process[0];
@@ -257,6 +298,7 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
         rec.decision = r.decision.value_or(kNoValue);
         rec.all_decided = r.all_decided;
         if (probe != nullptr) rec.probe = probe(*sim, r);
+        tally.add_run(seed, rec, probe != nullptr);
         if (after_run != nullptr) after_run(seed);
       }
     } catch (...) {
@@ -299,44 +341,12 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
   if (first_error >= 0)
     std::rethrow_exception(errors[static_cast<std::size_t>(first_error)]);
 
-  // Cancellation wins over a summary: a worker that broke out left holes in
-  // `records`, so no partial reduction is offered — the caller asked for
+  // Cancellation wins over a summary: a worker that broke out left its
+  // shard short, so no partial reduction is offered — the caller asked for
   // the sweep to stop, not for an approximate answer.
   if (cancelled.load(std::memory_order_relaxed)) throw BatchCancelled();
 
-  // Seed-order reduction over the preallocated slots: thread-count never
-  // changes what this loop sees. Decision values are tallied in a tiny
-  // linear-scan accumulator first — distinct decisions are bounded by the
-  // input set, so a map node lookup per run would be pure overhead.
-  std::vector<std::pair<Value, std::int64_t>> decision_tally;
-  for (const RunRecord& rec : records) {
-    ++out.num_runs;
-    if (rec.all_decided) ++out.decided_runs;
-    if (rec.decision != kNoValue) {
-      bool found = false;
-      for (auto& [value, count] : decision_tally) {
-        if (value == rec.decision) {
-          ++count;
-          found = true;
-          break;
-        }
-      }
-      if (!found) decision_tally.emplace_back(rec.decision, 1);
-    }
-    out.total_steps += rec.total_steps;
-    out.recoveries += rec.recoveries;
-    out.steps.add(rec.total_steps);
-    out.steps_p0.add(rec.steps_p0);
-    out.steps_p1.add(rec.steps_p1);
-    out.max_register_bits.add(rec.max_register_bits);
-    if (probe != nullptr) out.probe.add(rec.probe);
-  }
-  for (const auto& [value, count] : decision_tally)
-    out.decision_counts[value] = count;
-  for (const WorkerTiming& wt : timing) {
-    out.construct_seconds += wt.construct;
-    out.run_seconds += wt.run;
-  }
+  for (const Tally& tally : tallies) out.merge(tally.summary);
   out.wall_seconds = seconds_between(t_start, Clock::now());
   return out;
 }

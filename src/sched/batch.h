@@ -14,9 +14,10 @@
 // Determinism is the contract that makes the parallelism invisible: a run's
 // outcome is a pure function of (protocol, inputs, options, seed), because
 // reset() restarts the PRNG stream and the scheduler factory re-arms each
-// worker's private scheduler per seed. Per-run records land in a
-// preallocated slot indexed by global run index, and the reduction walks
-// those slots in seed order — so the BatchSummary is bit-identical whether
+// worker's private scheduler per seed. Each worker folds its runs into a
+// private BatchSummary tally (histograms, counts, sums and a fingerprint
+// sum), and the tallies are added after join. Every one of those
+// reductions is commutative, so the BatchSummary is bit-identical whether
 // the sweep ran on 1 thread or 16 (also pinned by batch_test).
 #pragma once
 
@@ -151,10 +152,30 @@ using RunProbe =
 /// unaffected.
 using RunHook = std::function<void(std::uint64_t seed)>;
 
-/// The deterministic, seed-order-stable reduction of a batch: every field
-/// above the wall-clock block is a pure function of (protocol, inputs,
-/// options, seed range) — thread-count-invariant by construction. Sample
-/// sets hold one entry per run, in seed order.
+/// The per-run facts a BatchSummary keeps about one finished run.
+struct RunRecord {
+  std::int64_t total_steps = 0;
+  std::int64_t steps_p0 = 0;
+  std::int64_t steps_p1 = 0;  ///< 0 when n < 2
+  std::int64_t recoveries = 0;
+  int max_register_bits = 0;
+  Value decision = kNoValue;  ///< the first decision, kNoValue if none
+  bool all_decided = false;
+  std::int64_t probe = 0;  ///< RunProbe value; 0 without a probe
+};
+
+/// H(seed, record): a fixed-key splitmix-style mix of the seed and every
+/// field of the record. A summary's fingerprint is the sum of H over its
+/// runs mod 2^64, so it is order-free like the histograms, yet it changes
+/// (up to ~2^-64 collision odds) if any single seed's record changes, or
+/// if two seeds swap records — which the histograms alone cannot see.
+std::uint64_t run_fingerprint(std::uint64_t seed, const RunRecord& record);
+
+/// The deterministic reduction of a batch: every field above the
+/// wall-clock block is a pure function of (protocol, inputs, options, seed
+/// range) and of nothing else — not the thread count, engine, lane count,
+/// SIMD width or shard split. Sample sets are exact histograms with one
+/// sample per run; the fingerprint pins which seed produced which record.
 struct BatchSummary {
   std::int64_t num_runs = 0;
   std::int64_t decided_runs = 0;  ///< runs with SimResult::all_decided
@@ -168,6 +189,13 @@ struct BatchSummary {
   SampleSet steps_p1;            ///< own-steps of pid 1 (n >= 2)
   SampleSet max_register_bits;   ///< Theorem 9 high-water mark per run
   SampleSet probe;               ///< RunProbe values; empty without a probe
+  std::uint64_t fingerprint = 0;  ///< sum of run_fingerprint mod 2^64
+
+  /// Fold one run in. `probed` adds record.probe to the probe histogram;
+  /// the fingerprint covers record.probe either way.
+  void add_run(std::uint64_t seed, const RunRecord& record, bool probed);
+  /// Add another summary's runs (disjoint seeds) and its wall-clock block.
+  void merge(const BatchSummary& other);
 
   // Machine/engine metadata — NOT part of the deterministic contract (the
   // values above never depend on them; pinned by batch_test). construct/run

@@ -49,18 +49,13 @@ void JobQueue::stop() {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.cancelled;
     }
-    post_(t->session_id, std::string(), true);
+    post_(t->session_id, std::string(), true, false);
   }
 }
 
 QueueStats JobQueue::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-void JobQueue::finish(const std::shared_ptr<JobTicket>& ticket,
-                      std::string frames) {
-  post_(ticket->session_id, std::move(frames), true);
 }
 
 void JobQueue::worker_main() {
@@ -78,7 +73,7 @@ void JobQueue::worker_main() {
 
     const std::string& id = ticket->spec.id;
     const EmitFrame emit = [&](std::string frames) {
-      post_(ticket->session_id, std::move(frames), false);
+      post_(ticket->session_id, std::move(frames), false, false);
     };
 
     enum class Outcome { kCompleted, kFailed, kCancelled };
@@ -106,7 +101,8 @@ void JobQueue::worker_main() {
     }
     // Cancelled jobs post no frames: the only cancellation sources are a
     // dead session and shutdown, and in both cases nobody is listening.
-    finish(ticket, std::move(last));
+    post_(ticket->session_id, std::move(last), true,
+          outcome == Outcome::kCompleted);
   }
 }
 

@@ -52,9 +52,12 @@ struct QueueStats {
 class JobQueue {
  public:
   /// Frame delivery toward a session, called from worker threads.
-  /// `job_finished` is true on the last post for a ticket.
-  using Post = std::function<void(std::uint64_t session_id,
-                                  std::string frames, bool job_finished)>;
+  /// `job_finished` is true on the last post for a ticket, and
+  /// `job_completed` on that post when the job ran to completion (it was
+  /// counted in QueueStats::completed).
+  using Post =
+      std::function<void(std::uint64_t session_id, std::string frames,
+                         bool job_finished, bool job_completed)>;
 
   /// `fleet` (optional, borrowed, must outlive the queue) routes
   /// fleet-tagged sweeps; see svc::FleetRunner.
@@ -77,7 +80,6 @@ class JobQueue {
 
  private:
   void worker_main();
-  void finish(const std::shared_ptr<JobTicket>& ticket, std::string frames);
 
   const JobLimits limits_;
   const Post post_;

@@ -122,11 +122,11 @@ bool Server::start() {
   queue_ = std::make_unique<JobQueue>(
       options_.job_workers, options_.job_limits,
       [this](std::uint64_t session_id, std::string frames,
-             bool job_finished) {
+             bool job_finished, bool job_completed) {
         {
           std::lock_guard<std::mutex> lock(outbox_.mu);
           outbox_.msgs.push_back(
-              {session_id, std::move(frames), job_finished});
+              {session_id, std::move(frames), job_finished, job_completed});
         }
         const std::uint64_t tick = 1;
         (void)net::write_retry(wake_fd_, &tick, sizeof tick);
@@ -210,9 +210,13 @@ ServerStats Server::stats() const {
   out.bytes_out = stats_.bytes_out.load();
   out.active_sessions = stats_.active_sessions.load();
   if (queue_) {
+    // Undelivered first: a job is counted completed by the queue before it
+    // can become undelivered, so this order never makes the difference
+    // negative.
+    out.jobs_undelivered = stats_.jobs_undelivered.load();
     const QueueStats q = queue_->stats();
     out.jobs_submitted = q.submitted;
-    out.jobs_completed = q.completed;
+    out.jobs_completed = q.completed - out.jobs_undelivered;
     out.jobs_failed = q.failed;
     out.jobs_cancelled = q.cancelled;
     out.jobs_active = q.active;
@@ -422,11 +426,18 @@ void Server::drain_outbox() {
     msgs.swap(outbox_.msgs);
   }
   for (Outbox::Msg& m : msgs) {
+    // A completed job whose terminal frames find no session (it died, or
+    // dies right here on a frame over max_write_buffer) was not delivered.
     auto it = sessions_.find(m.session_id);
-    if (it == sessions_.end()) continue;  // session died; drop the tail
-    Session& s = *it->second;
-    if (!m.frames.empty() && !enqueue_or_evict(s, std::move(m.frames)))
+    if (it == sessions_.end()) {  // session died; drop the tail
+      if (m.job_completed) ++stats_.jobs_undelivered;
       continue;
+    }
+    Session& s = *it->second;
+    if (!m.frames.empty() && !enqueue_or_evict(s, std::move(m.frames))) {
+      if (m.job_completed) ++stats_.jobs_undelivered;
+      continue;
+    }
     if (m.job_finished) {
       s.active_job.reset();
       s.last_activity = SteadyClock::now();  // job end restarts the clock

@@ -91,7 +91,13 @@ struct ServerStats {
   std::int64_t active_sessions = 0;
   // Job pool (mirrors JobQueue::stats at snapshot time):
   std::int64_t jobs_submitted = 0;
+  /// Ran to completion AND its terminal frame reached the session's write
+  /// buffer.
   std::int64_t jobs_completed = 0;
+  /// Ran to completion, but the session was gone (evicted or closed) before
+  /// all its frames were queued — e.g. a result frame larger than
+  /// max_write_buffer. Not counted in jobs_completed.
+  std::int64_t jobs_undelivered = 0;
   std::int64_t jobs_failed = 0;
   std::int64_t jobs_cancelled = 0;
   std::int64_t jobs_active = 0;
@@ -175,6 +181,7 @@ class Server {
       std::uint64_t session_id;
       std::string frames;
       bool job_finished;
+      bool job_completed;
     };
     std::mutex mu;
     std::vector<Msg> msgs;
@@ -198,6 +205,7 @@ class Server {
     std::atomic<std::int64_t> bytes_in{0};
     std::atomic<std::int64_t> bytes_out{0};
     std::atomic<std::int64_t> active_sessions{0};
+    std::atomic<std::int64_t> jobs_undelivered{0};
   };
   AtomicStats stats_;
 };

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <limits>
 
 #include "util/check.h"
 
 namespace cil {
+
+namespace {
+__extension__ using Int128 = __int128;  // GCC/Clang; exact sums of int64s
+}  // namespace
 
 void RunningStats::add(double x) {
   if (n_ == 0) {
@@ -48,61 +52,123 @@ double RunningStats::ci95_halfwidth() const {
   return 1.96 * stddev() / std::sqrt(static_cast<double>(n_));
 }
 
-void SampleSet::add(std::int64_t x) { data_.push_back(x); }
-
-const std::vector<std::int64_t>& SampleSet::sorted() const {
-  if (sorted_.size() != data_.size()) {
-    sorted_ = data_;
-    std::sort(sorted_.begin(), sorted_.end());
+void SampleSet::add(std::int64_t value, std::int64_t count) {
+  CIL_EXPECTS(count > 0);
+  CIL_EXPECTS(count <= std::numeric_limits<std::int64_t>::max() - n_);
+  if (value >= 0 && value < kDenseLimit) {
+    const auto v = static_cast<std::size_t>(value);
+    if (v >= dense_.size()) {
+      // Geometric growth: at most log2(kDenseLimit) allocations per set.
+      dense_.resize(std::min<std::size_t>(
+          kDenseLimit, std::max<std::size_t>({v + 1, 2 * dense_.size(), 16})));
+    }
+    dense_[v] += count;
+  } else {
+    sparse_[value] += count;
   }
-  return sorted_;
+  n_ += count;
+}
+
+void SampleSet::merge(const SampleSet& other) {
+  other.for_each_bin(
+      [this](std::int64_t value, std::int64_t count) { add(value, count); });
+}
+
+template <class F>
+void SampleSet::for_each_bin(F&& f) const {
+  auto it = sparse_.begin();
+  for (; it != sparse_.end() && it->first < 0; ++it) f(it->first, it->second);
+  for (std::size_t v = 0; v < dense_.size(); ++v)
+    if (dense_[v] != 0) f(static_cast<std::int64_t>(v), dense_[v]);
+  for (; it != sparse_.end(); ++it) f(it->first, it->second);
+}
+
+std::vector<std::pair<std::int64_t, std::int64_t>> SampleSet::bins() const {
+  std::vector<std::pair<std::int64_t, std::int64_t>> out;
+  for_each_bin([&out](std::int64_t value, std::int64_t count) {
+    out.emplace_back(value, count);
+  });
+  return out;
+}
+
+std::vector<std::int64_t> SampleSet::samples() const {
+  std::vector<std::int64_t> out;
+  out.reserve(static_cast<std::size_t>(n_));
+  for_each_bin([&out](std::int64_t value, std::int64_t count) {
+    out.insert(out.end(), static_cast<std::size_t>(count), value);
+  });
+  return out;
 }
 
 double SampleSet::mean() const {
-  CIL_EXPECTS(!data_.empty());
-  double sum = 0;
-  for (auto x : data_) sum += static_cast<double>(x);
-  return sum / static_cast<double>(data_.size());
+  CIL_EXPECTS(n_ > 0);
+  // Exact integer sum: the same double a sequential sum gives whenever that
+  // sum is exact (below 2^53), and no order dependence beyond it.
+  Int128 sum = 0;
+  for_each_bin([&sum](std::int64_t value, std::int64_t count) {
+    sum += static_cast<Int128>(value) * count;
+  });
+  return static_cast<double>(sum) / static_cast<double>(n_);
 }
 
 double SampleSet::stddev() const {
-  if (data_.size() < 2) return 0.0;
+  if (n_ < 2) return 0.0;
   const double m = mean();
   double acc = 0;
-  for (auto x : data_) {
-    const double d = static_cast<double>(x) - m;
-    acc += d * d;
-  }
-  return std::sqrt(acc / static_cast<double>(data_.size() - 1));
+  for_each_bin([&](std::int64_t value, std::int64_t count) {
+    const double d = static_cast<double>(value) - m;
+    acc += static_cast<double>(count) * d * d;
+  });
+  return std::sqrt(acc / static_cast<double>(n_ - 1));
 }
 
 std::int64_t SampleSet::min() const {
-  CIL_EXPECTS(!data_.empty());
-  return sorted().front();
+  CIL_EXPECTS(n_ > 0);
+  if (!sparse_.empty() && sparse_.begin()->first < 0)
+    return sparse_.begin()->first;
+  for (std::size_t v = 0; v < dense_.size(); ++v)
+    if (dense_[v] != 0) return static_cast<std::int64_t>(v);
+  return sparse_.begin()->first;
 }
 
 std::int64_t SampleSet::max() const {
-  CIL_EXPECTS(!data_.empty());
-  return sorted().back();
+  CIL_EXPECTS(n_ > 0);
+  if (!sparse_.empty() && sparse_.rbegin()->first >= 0)
+    return sparse_.rbegin()->first;
+  for (std::size_t v = dense_.size(); v-- > 0;)
+    if (dense_[v] != 0) return static_cast<std::int64_t>(v);
+  return sparse_.rbegin()->first;
 }
 
 std::int64_t SampleSet::percentile(double q) const {
-  CIL_EXPECTS(!data_.empty());
+  CIL_EXPECTS(n_ > 0);
   CIL_EXPECTS(q >= 0.0 && q <= 1.0);
-  const auto& s = sorted();
-  const auto n = s.size();
   // Nearest-rank: the smallest value with at least q*n samples <= it.
-  std::size_t rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
+  std::int64_t rank =
+      static_cast<std::int64_t>(std::ceil(q * static_cast<double>(n_)));
   if (rank > 0) --rank;
-  if (rank >= n) rank = n - 1;
-  return s[rank];
+  if (rank >= n_) rank = n_ - 1;
+  std::int64_t below = 0;  // samples in the bins already passed
+  std::int64_t out = 0;
+  bool found = false;
+  for_each_bin([&](std::int64_t value, std::int64_t count) {
+    if (found) return;
+    below += count;
+    if (below > rank) {
+      out = value;
+      found = true;
+    }
+  });
+  return out;
 }
 
 double SampleSet::tail_at_least(std::int64_t k) const {
-  if (data_.empty()) return 0.0;
-  const auto& s = sorted();
-  const auto it = std::lower_bound(s.begin(), s.end(), k);
-  return static_cast<double>(s.end() - it) / static_cast<double>(s.size());
+  if (n_ == 0) return 0.0;
+  std::int64_t at_least = 0;
+  for_each_bin([&](std::int64_t value, std::int64_t count) {
+    if (value >= k) at_least += count;
+  });
+  return static_cast<double>(at_least) / static_cast<double>(n_);
 }
 
 std::vector<double> SampleSet::survival(std::int64_t k_max) const {
@@ -110,32 +176,6 @@ std::vector<double> SampleSet::survival(std::int64_t k_max) const {
   out.reserve(static_cast<std::size_t>(k_max) + 1);
   for (std::int64_t k = 0; k <= k_max; ++k) out.push_back(tail_at_least(k));
   return out;
-}
-
-std::int64_t Histogram::total() const {
-  std::int64_t t = 0;
-  for (const auto& [value, count] : bins_) {
-    (void)value;
-    t += count;
-  }
-  return t;
-}
-
-std::string Histogram::ascii(int width) const {
-  std::ostringstream os;
-  std::int64_t peak = 0;
-  for (const auto& [value, count] : bins_) {
-    (void)value;
-    peak = std::max(peak, count);
-  }
-  if (peak == 0) return "(empty histogram)\n";
-  for (const auto& [value, count] : bins_) {
-    const int bar = static_cast<int>(
-        (static_cast<double>(count) / static_cast<double>(peak)) * width);
-    os << value << "\t" << count << "\t" << std::string(static_cast<std::size_t>(bar), '#')
-       << "\n";
-  }
-  return os.str();
 }
 
 Summary summarize(const SampleSet& s) {

@@ -6,7 +6,7 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace cil {
@@ -34,18 +34,38 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Collects integer samples and answers distribution queries. Used for
-/// steps-to-decision and max-register-value distributions.
+/// Collects integer samples as an exact value -> count histogram and answers
+/// distribution queries. Used for steps-to-decision and max-register-value
+/// distributions.
 ///
-/// samples() always returns the samples in INSERTION order — for a
-/// BatchSummary that is seed order, the order the fabric serializer and the
-/// shard-merge bit-identity tests depend on. Order statistics (min/max/
-/// percentile/tail) sort a lazily maintained internal copy instead of the
-/// sample vector itself, so querying a percentile never perturbs the order.
+/// Storage is O(distinct values), never O(samples): small non-negative
+/// values (below kDenseLimit) count in a dense array indexed by value, so
+/// the per-sample add() is an increment with no lookup and, once the array
+/// has grown to the largest value seen, no allocation; negative or large
+/// outliers go to a sparse map. Every order statistic and tail probability
+/// is a function of the histogram alone, so two sets with the same bins
+/// answer every query identically, whatever order the samples arrived in —
+/// which is what makes merge() (histogram addition) commutative and
+/// associative.
 class SampleSet {
  public:
-  void add(std::int64_t x);
-  std::int64_t count() const { return static_cast<std::int64_t>(data_.size()); }
+  /// Values in [0, kDenseLimit) use the dense array.
+  static constexpr std::int64_t kDenseLimit = 4096;
+
+  void add(std::int64_t x) {
+    if (static_cast<std::uint64_t>(x) < dense_.size()) {
+      ++dense_[static_cast<std::size_t>(x)];
+      ++n_;
+    } else {
+      add(x, 1);
+    }
+  }
+  /// Add `count` (>= 1) samples of `value`.
+  void add(std::int64_t value, std::int64_t count);
+  /// Add every sample of `other` (histogram addition).
+  void merge(const SampleSet& other);
+
+  std::int64_t count() const { return n_; }
   double mean() const;
   double stddev() const;
   std::int64_t min() const;
@@ -56,26 +76,26 @@ class SampleSet {
   double tail_at_least(std::int64_t k) const;
   /// Empirical survival table for k = 0..k_max: vector[k] = P[X >= k].
   std::vector<double> survival(std::int64_t k_max) const;
-  /// Samples in insertion order.
-  const std::vector<std::int64_t>& samples() const { return data_; }
+  /// The distinct values with their counts, ascending by value; every count
+  /// is positive and the counts sum to count().
+  std::vector<std::pair<std::int64_t, std::int64_t>> bins() const;
+  /// Every sample, ascending: an O(count()) expansion of bins(), built on
+  /// each call. Kept for callers that want a flat list; prefer bins().
+  std::vector<std::int64_t> samples() const;
+
+  /// Equal histograms (the dense/sparse split is not observable).
+  friend bool operator==(const SampleSet& a, const SampleSet& b) {
+    return a.n_ == b.n_ && a.bins() == b.bins();
+  }
 
  private:
-  const std::vector<std::int64_t>& sorted() const;
-  std::vector<std::int64_t> data_;
-  mutable std::vector<std::int64_t> sorted_;  ///< cache; stale when sizes differ
-};
+  /// Calls f(value, count) for every non-empty bin, ascending by value.
+  template <class F>
+  void for_each_bin(F&& f) const;
 
-/// Sparse histogram over integer values.
-class Histogram {
- public:
-  void add(std::int64_t x) { ++bins_[x]; }
-  const std::map<std::int64_t, std::int64_t>& bins() const { return bins_; }
-  std::int64_t total() const;
-  /// Render as an ASCII bar chart (one line per bin, bar of '#').
-  std::string ascii(int width = 50) const;
-
- private:
-  std::map<std::int64_t, std::int64_t> bins_;
+  std::vector<std::int64_t> dense_;  ///< dense_[v] = count of v
+  std::map<std::int64_t, std::int64_t> sparse_;  ///< v < 0 or v >= kDenseLimit
+  std::int64_t n_ = 0;
 };
 
 /// One-stop summary of a SampleSet: the single code path behind every bench

@@ -228,11 +228,12 @@ void expect_equal_summaries(const BatchSummary& a, const BatchSummary& b) {
   EXPECT_EQ(a.decision_counts, b.decision_counts);
   EXPECT_EQ(a.total_steps, b.total_steps);
   EXPECT_EQ(a.recoveries, b.recoveries);
-  EXPECT_EQ(a.steps.samples(), b.steps.samples());
-  EXPECT_EQ(a.steps_p0.samples(), b.steps_p0.samples());
-  EXPECT_EQ(a.steps_p1.samples(), b.steps_p1.samples());
-  EXPECT_EQ(a.max_register_bits.samples(), b.max_register_bits.samples());
-  EXPECT_EQ(a.probe.samples(), b.probe.samples());
+  EXPECT_EQ(a.steps.bins(), b.steps.bins());
+  EXPECT_EQ(a.steps_p0.bins(), b.steps_p0.bins());
+  EXPECT_EQ(a.steps_p1.bins(), b.steps_p1.bins());
+  EXPECT_EQ(a.max_register_bits.bins(), b.max_register_bits.bins());
+  EXPECT_EQ(a.probe.bins(), b.probe.bins());
+  EXPECT_EQ(a.fingerprint, b.fingerprint);
 }
 
 SchedulerFactory random_factory(std::uint64_t salt) {
@@ -281,17 +282,85 @@ TEST(BatchRunner, MatchesSerialFreshConstructions) {
   opts.threads = 3;
   const BatchSummary b = batch.run(opts, random_factory(0x1234));
 
+  // Rebuild the expected summary from the plain loop: the histograms pin
+  // the per-run values, and the fingerprint pins which seed produced each.
+  BatchSummary expected;
   for (std::uint64_t seed = 0; seed < 300; ++seed) {
     SimOptions so;
     so.seed = seed;
     Simulation sim(protocol, {0, 1}, so);
     RandomScheduler sched(seed ^ 0x1234);
     const SimResult r = sim.run(sched);
-    const auto i = static_cast<std::size_t>(seed);
-    ASSERT_EQ(b.steps.samples()[i], r.total_steps) << "seed " << seed;
-    ASSERT_EQ(b.steps_p0.samples()[i], r.steps_per_process[0]);
-    ASSERT_EQ(b.steps_p1.samples()[i], r.steps_per_process[1]);
+    RunRecord rec;
+    rec.total_steps = r.total_steps;
+    rec.steps_p0 = r.steps_per_process[0];
+    rec.steps_p1 = r.steps_per_process[1];
+    rec.recoveries = r.recoveries;
+    rec.max_register_bits = r.max_register_bits;
+    rec.decision = r.decision.value_or(kNoValue);
+    rec.all_decided = r.all_decided;
+    expected.add_run(seed, rec, false);
   }
+  expect_equal_summaries(b, expected);
+}
+
+TEST(Fingerprint, SwappingTwoSeedsRecordsChangesItButNotTheHistograms) {
+  RunRecord short_run;
+  short_run.total_steps = 4;
+  short_run.steps_p0 = 2;
+  short_run.steps_p1 = 2;
+  short_run.decision = 0;
+  short_run.all_decided = true;
+  RunRecord long_run = short_run;
+  long_run.total_steps = 9;
+  long_run.steps_p0 = 5;
+  long_run.steps_p1 = 4;
+  long_run.decision = 1;
+
+  BatchSummary a;
+  a.add_run(7, short_run, false);
+  a.add_run(8, long_run, false);
+  BatchSummary swapped;
+  swapped.add_run(7, long_run, false);
+  swapped.add_run(8, short_run, false);
+  // Same multiset of records: every count, sum and histogram agrees ...
+  EXPECT_EQ(a.decision_counts, swapped.decision_counts);
+  EXPECT_EQ(a.total_steps, swapped.total_steps);
+  EXPECT_EQ(a.steps, swapped.steps);
+  EXPECT_EQ(a.steps_p0, swapped.steps_p0);
+  EXPECT_EQ(a.steps_p1, swapped.steps_p1);
+  // ... but which seed ran which record differs, and only the fingerprint
+  // sees it.
+  EXPECT_NE(a.fingerprint, swapped.fingerprint);
+
+  // Order of accumulation is not identity: adding the same runs in the
+  // other order is the same summary.
+  BatchSummary reordered;
+  reordered.add_run(8, long_run, false);
+  reordered.add_run(7, short_run, false);
+  EXPECT_EQ(a.fingerprint, reordered.fingerprint);
+  EXPECT_EQ(a.steps, reordered.steps);
+}
+
+TEST(Fingerprint, CoversEveryRecordFieldAndTheSeed) {
+  RunRecord base;
+  base.total_steps = 6;
+  base.steps_p0 = 3;
+  base.steps_p1 = 3;
+  base.decision = 1;
+  base.all_decided = true;
+  const std::uint64_t h = run_fingerprint(5, base);
+  EXPECT_NE(run_fingerprint(6, base), h);
+  std::vector<RunRecord> variants(8, base);
+  ++variants[0].total_steps;
+  ++variants[1].steps_p0;
+  ++variants[2].steps_p1;
+  ++variants[3].recoveries;
+  ++variants[4].max_register_bits;
+  variants[5].decision = 0;
+  variants[6].all_decided = false;
+  ++variants[7].probe;
+  for (const RunRecord& v : variants) EXPECT_NE(run_fingerprint(5, v), h);
 }
 
 TEST(BatchRunner, EmptyAndSingleRunEdges) {

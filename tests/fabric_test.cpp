@@ -2,7 +2,7 @@
 //
 //   * split/shard_seed_range semantics, including agreement with the split
 //     BatchRunner uses for its thread shards;
-//   * cilcoord.batch_summary.v1 serialize → parse → re-serialize equality
+//   * cilcoord.batch_summary.v2 serialize → parse → re-serialize equality
 //     (the JSON layer's %.17g doubles make the round trip exact);
 //   * THE MERGE-ALGEBRA PROPERTY: folding the shard summaries of any random
 //     partition of a seed range — in any order, any association — equals
@@ -11,11 +11,13 @@
 //   * CheckpointStore: fresh open, commit, resume, orphan adoption, config
 //     mismatch rejection, and crash-atomic writes.
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -66,11 +68,12 @@ void expect_equal_summaries(const BatchSummary& a, const BatchSummary& b) {
   EXPECT_EQ(a.decision_counts, b.decision_counts);
   EXPECT_EQ(a.total_steps, b.total_steps);
   EXPECT_EQ(a.recoveries, b.recoveries);
-  EXPECT_EQ(a.steps.samples(), b.steps.samples());
-  EXPECT_EQ(a.steps_p0.samples(), b.steps_p0.samples());
-  EXPECT_EQ(a.steps_p1.samples(), b.steps_p1.samples());
-  EXPECT_EQ(a.max_register_bits.samples(), b.max_register_bits.samples());
-  EXPECT_EQ(a.probe.samples(), b.probe.samples());
+  EXPECT_EQ(a.steps.bins(), b.steps.bins());
+  EXPECT_EQ(a.steps_p0.bins(), b.steps_p0.bins());
+  EXPECT_EQ(a.steps_p1.bins(), b.steps_p1.bins());
+  EXPECT_EQ(a.max_register_bits.bins(), b.max_register_bits.bins());
+  EXPECT_EQ(a.probe.bins(), b.probe.bins());
+  EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_TRUE(fabric::deterministic_fields_equal(a, b));
 }
 
@@ -144,9 +147,265 @@ TEST(ShardSummaryJson, RejectsWrongTagAndTornPayload) {
   shard.range = {1, 3};
   shard.summary = run_range(protocol, {0, 1}, shard.range);
   Json good = fabric::shard_summary_to_json(shard);
-  good["num_runs"] = Json(static_cast<std::int64_t>(5));  // samples now lie
+  good["num_runs"] = Json(static_cast<std::int64_t>(5));  // bins now lie
   EXPECT_THROW((void)fabric::shard_summary_from_json(good),
                ContractViolation);
+}
+
+TEST(ShardSummaryJson, HistogramsAreExactAndConstantSize) {
+  TwoProcessProtocol protocol;
+  ShardSummary shard;
+  shard.range = {1, 2000};
+  shard.summary = run_range(protocol, {0, 1}, shard.range);
+  const Json doc = fabric::shard_summary_to_json(shard);
+  // Bins: ascending values, positive counts summing to num_runs.
+  const Json::Array& bins = doc.at("histograms").at("steps").as_array();
+  ASSERT_FALSE(bins.empty());
+  std::int64_t total = 0;
+  for (std::size_t i = 0; i < bins.size(); ++i) {
+    if (i > 0) EXPECT_LT(bins[i - 1].at(0).as_int(), bins[i].at(0).as_int());
+    EXPECT_GT(bins[i].at(1).as_int(), 0);
+    total += bins[i].at(1).as_int();
+  }
+  EXPECT_EQ(total, 2000);
+  EXPECT_TRUE(doc.at("histograms").at("probe").as_array().empty());
+  const std::string& fp = doc.at("fingerprint").as_string();
+  EXPECT_EQ(fp.size(), 16u);
+  EXPECT_EQ(fp.find_first_not_of("0123456789abcdef"), std::string::npos);
+  // O(distinct values): 2000 runs fit in a couple of KB.
+  EXPECT_LT(doc.dump().size(), 2048u);
+}
+
+TEST(ShardSummaryJson, RejectsMalformedHistogramsAndFingerprints) {
+  TwoProcessProtocol protocol;
+  ShardSummary shard;
+  shard.range = {1, 50};
+  shard.summary = run_range(protocol, {0, 1}, shard.range);
+  const Json good = fabric::shard_summary_to_json(shard);
+  ASSERT_NO_THROW((void)fabric::shard_summary_from_json(good));
+
+  const auto with_steps = [&](Json bins) {
+    Json doc = good;
+    Json hists = doc.at("histograms");
+    hists["steps"] = std::move(bins);
+    doc["histograms"] = std::move(hists);
+    return doc;
+  };
+  const auto bin = [](std::int64_t value, std::int64_t count) {
+    Json b = Json::array();
+    b.push_back(Json(value));
+    b.push_back(Json(count));
+    return b;
+  };
+  const auto bins_of = [](std::initializer_list<Json> list) {
+    Json arr = Json::array();
+    for (const Json& b : list) arr.push_back(b);
+    return arr;
+  };
+  const std::int64_t half = std::int64_t{1} << 62;
+  const std::vector<Json> bad_docs = {
+      with_steps(bins_of({bin(5, 25), bin(3, 25)})),   // unsorted
+      with_steps(bins_of({bin(3, 25), bin(3, 25)})),   // duplicate value
+      with_steps(bins_of({bin(3, 50), bin(4, 0)})),    // zero count
+      with_steps(bins_of({bin(3, 51), bin(4, -1)})),   // negative count
+      with_steps(bins_of({bin(3, 49)})),               // total != num_runs
+      with_steps(bins_of({bin(1, half), bin(2, half)})),  // sum overflows
+      with_steps(Json::array()),                       // empty, not probe
+  };
+  for (const Json& doc : bad_docs)
+    EXPECT_THROW((void)fabric::shard_summary_from_json(doc), ContractViolation)
+        << doc.at("histograms").at("steps").dump();
+
+  for (const char* fp : {"", "0123456789abcde", "0123456789abcdef0",
+                         "0123456789ABCDEF", "0x23456789abcdef",
+                         "0123456789abcdeg"}) {
+    Json doc = good;
+    doc["fingerprint"] = Json(fp);
+    EXPECT_THROW((void)fabric::shard_summary_from_json(doc), ContractViolation)
+        << fp;
+  }
+  Json numeric_fp = good;
+  numeric_fp["fingerprint"] = Json(12);
+  EXPECT_THROW((void)fabric::shard_summary_from_json(numeric_fp),
+               ContractViolation);
+}
+
+TEST(ShardSummaryJson, RejectsTheRetiredV1Format) {
+  TwoProcessProtocol protocol;
+  ShardSummary shard;
+  shard.range = {1, 4};
+  shard.summary = run_range(protocol, {0, 1}, shard.range);
+  Json doc = fabric::shard_summary_to_json(shard);
+  doc["artifact"] = Json("cilcoord.batch_summary.v1");
+  EXPECT_THROW((void)fabric::shard_summary_from_json(doc), ContractViolation);
+}
+
+// -- the decoder under mutation ----------------------------------------------
+//
+// Fleet peers hand shard_summary_from_json untrusted bytes. A seeded,
+// in-repo property fuzzer: start from valid documents, apply random
+// structural and textual mutations, and require that every mutant either
+// decodes to a summary that round-trips exactly, or throws
+// ContractViolation — never another exception, a crash, or UB (the
+// sanitizer builds run this same test).
+
+std::size_t count_nodes(const Json& j) {
+  std::size_t n = 1;
+  if (j.is_array())
+    for (const Json& e : j.as_array()) n += count_nodes(e);
+  if (j.is_object())
+    for (const auto& [key, value] : j.as_object()) n += count_nodes(value);
+  return n;
+}
+
+/// `j` rebuilt with its `target`-th node (preorder) replaced by f(node).
+template <class F>
+Json rebuild(const Json& j, std::size_t& index, std::size_t target, F& f) {
+  if (index++ == target) return f(j);
+  if (j.is_array()) {
+    Json out = Json::array();
+    for (const Json& e : j.as_array())
+      out.push_back(rebuild(e, index, target, f));
+    return out;
+  }
+  if (j.is_object()) {
+    Json out = Json::object();
+    for (const auto& [key, value] : j.as_object())
+      out[key] = rebuild(value, index, target, f);
+    return out;
+  }
+  return j;
+}
+
+Json mutate_node(const Json& node, std::mt19937_64& gen) {
+  const auto pick = [&gen](std::size_t n) {
+    return static_cast<std::size_t>(gen() % n);
+  };
+  const std::vector<Json> wrong_types = {
+      Json(), Json(true), Json("x"), Json::array(), Json::object(),
+      Json(-1), Json(0), Json(0.5), Json(1e300), Json(0x1p63), Json(-0x1p63),
+      Json(9007199254740993.0)};
+  if (pick(4) == 0) return wrong_types[pick(wrong_types.size())];
+  if (node.is_number()) {
+    const double v = node.as_number();
+    const std::vector<double> numbers = {
+        -1, 0, 1, v + 1, v - 1, -v, 0x1p62, 0x1p63, 1e19, 0x1p53 + 1, 0.5};
+    return Json(numbers[pick(numbers.size())]);
+  }
+  if (node.is_string()) {
+    const std::string& v = node.as_string();
+    const std::vector<std::string> strings = {
+        "", "-1", "01", "+1", "18446744073709551615", "18446744073709551616",
+        "12a", "ffffffffffffffff", "FFFFFFFFFFFFFFFF", "0123456789abcde",
+        "0123456789abcdef0", v.substr(0, v.size() / 2), v + "0",
+        "cilcoord.batch_summary.v1"};
+    return Json(strings[pick(strings.size())]);
+  }
+  if (node.is_array()) {
+    Json::Array a = node.as_array();
+    switch (pick(6)) {
+      case 0:
+        if (!a.empty()) a.erase(a.begin() + static_cast<long>(pick(a.size())));
+        break;
+      case 1:
+        if (!a.empty()) a.push_back(a[pick(a.size())]);
+        break;
+      case 2:
+        if (a.size() >= 2) std::swap(a[pick(a.size())], a[pick(a.size())]);
+        break;
+      case 3:
+        std::reverse(a.begin(), a.end());
+        break;
+      case 4: {
+        Json b = Json::array();
+        b.push_back(Json(static_cast<std::int64_t>(pick(8))));
+        b.push_back(Json(0x1p62));
+        a.push_back(b);
+        a.push_back(b);
+        break;
+      }
+      default:
+        a.clear();
+    }
+    Json out = Json::array();
+    for (Json& e : a) out.push_back(std::move(e));
+    return out;
+  }
+  if (node.is_object() && node.size() > 0) {
+    const auto& obj = node.as_object();
+    auto victim = obj.begin();
+    std::advance(victim, static_cast<long>(pick(obj.size())));
+    const std::vector<std::string> keys = {"01", "+1", "-1", "abc",
+                                           "99999999999", "7", ""};
+    const bool rename = pick(2) == 0;
+    Json out = Json::object();
+    for (const auto& [key, value] : obj) {
+      if (key != victim->first) out[key] = value;
+      else if (rename) out[keys[pick(keys.size())]] = value;
+    }
+    return out;  // the victim key dropped or renamed
+  }
+  return wrong_types[pick(wrong_types.size())];
+}
+
+TEST(ShardSummaryFuzz, MutantsRoundTripOrThrowContractViolation) {
+  std::vector<Json> seeds;
+  {
+    UnboundedProtocol protocol(3);
+    BatchRunner runner(protocol, {0, 1, 0});
+    BatchOptions opts;
+    opts.first_seed = 77;
+    opts.num_runs = 40;
+    const RunProbe probe = [](const Simulation&, const SimResult& r) {
+      return r.total_steps % 5 - 2;  // negative values too
+    };
+    seeds.push_back(fabric::shard_summary_to_json(
+        {{77, 40}, runner.run(opts, random_factory(), probe)}));
+  }
+  {
+    TwoProcessProtocol protocol;
+    seeds.push_back(fabric::shard_summary_to_json(
+        {{5, 25}, run_range(protocol, {0, 1}, {5, 25})}));
+    seeds.push_back(fabric::shard_summary_to_json({{9, 0}, BatchSummary{}}));
+  }
+
+  std::mt19937_64 gen(20261017);
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 6000; ++trial) {
+    Json doc = seeds[static_cast<std::size_t>(trial) % seeds.size()];
+    const int rounds = 1 + static_cast<int>(gen() % 3);
+    for (int r = 0; r < rounds; ++r) {
+      std::size_t index = 0;
+      const std::size_t target = gen() % count_nodes(doc);
+      auto f = [&gen](const Json& node) { return mutate_node(node, gen); };
+      doc = rebuild(doc, index, target, f);
+    }
+    std::string text = doc.dump();
+    if (gen() % 8 == 0) text.resize(gen() % (text.size() + 1));  // truncate
+    if (gen() % 8 == 0 && !text.empty())
+      text[gen() % text.size()] = static_cast<char>(gen() % 128);  // flip
+    try {
+      const ShardSummary got =
+          fabric::shard_summary_from_json(Json::parse(text));
+      const std::string once = fabric::shard_summary_to_json(got).dump();
+      const ShardSummary again =
+          fabric::shard_summary_from_json(Json::parse(once));
+      ASSERT_EQ(fabric::shard_summary_to_json(again).dump(), once) << text;
+      ASSERT_TRUE(
+          fabric::deterministic_fields_equal(got.summary, again.summary));
+      ASSERT_EQ(got.summary.steps.count(), got.range.num_runs) << text;
+      ++accepted;
+    } catch (const ContractViolation&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      FAIL() << "non-contract exception " << e.what() << " on " << text;
+    }
+  }
+  // The mutations reach both outcomes: this is not a test of the parser's
+  // first byte alone.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 3000);
 }
 
 // -- the merge algebra ------------------------------------------------------
@@ -276,6 +535,52 @@ TEST(AtomicWrite, WritesContentAndReplacesExistingFiles) {
   EXPECT_EQ(files, 1);
 }
 
+TEST(AtomicWrite, ConcurrentWritersNeverTearTheFile) {
+  // Threads of ONE process writing one path (the checkpoint manifest, when
+  // a reporter thread reopens the store while the supervisor commits):
+  // every write must succeed, and every read must see one whole payload.
+  const std::string dir = temp_dir("atomic_concurrent");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/manifest.json";
+  constexpr int kThreads = 8;
+  constexpr int kWrites = 200;
+  const auto payload = [](int t, int i) {
+    // Long and distinct per (thread, write), so an interleaving shows.
+    return std::to_string(t) + ":" + std::to_string(i) + ":" +
+           std::string(4096 + 97 * static_cast<std::size_t>(t),
+                       static_cast<char>('a' + t)) +
+           "\n";
+  };
+  std::atomic<int> failed_writes{0};
+  std::atomic<int> torn_reads{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      for (int i = 0; i < kWrites; ++i) {
+        if (!obs::write_text_file_atomic(path, payload(t, i))) ++failed_writes;
+        std::ifstream is(path);
+        const std::string got((std::istreambuf_iterator<char>(is)),
+                              std::istreambuf_iterator<char>());
+        int wt = -1;
+        int wi = -1;
+        if (std::sscanf(got.c_str(), "%d:%d:", &wt, &wi) != 2 || wt < 0 ||
+            wt >= kThreads || got != payload(wt, wi))
+          ++torn_reads;
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  EXPECT_EQ(failed_writes.load(), 0);
+  EXPECT_EQ(torn_reads.load(), 0);
+  // Every temp file was renamed into place: only the artifact remains.
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    (void)entry;
+    ++files;
+  }
+  EXPECT_EQ(files, 1);
+}
+
 TEST(AtomicWrite, FailsCleanlyOnMissingDirectory) {
   EXPECT_FALSE(obs::write_text_file_atomic(
       temp_dir("no_such_dir") + "/sub/artifact.json", "x"));
@@ -362,6 +667,69 @@ TEST(CheckpointStore, IgnoresTornShardFilesAndStrayTmp) {
   EXPECT_TRUE(store.open(config).empty());
   EXPECT_THROW((void)store.load_shard(2), ContractViolation);
   EXPECT_FALSE(store.commit_shard(2));
+}
+
+/// A shard file as an older build wrote it: cilcoord.batch_summary.v1,
+/// with per-run sample vectors in seed order.
+std::string v1_shard_text(const SeedRange& r) {
+  Json samples = Json::object();
+  for (const char* name :
+       {"steps", "steps_p0", "steps_p1", "max_register_bits"}) {
+    Json v = Json::array();
+    for (std::int64_t i = 0; i < r.num_runs; ++i) v.push_back(Json(4));
+    samples[name] = std::move(v);
+  }
+  samples["probe"] = Json::array();
+  Json doc = Json::object();
+  doc["artifact"] = Json("cilcoord.batch_summary.v1");
+  doc["first_seed"] = Json(std::to_string(r.first_seed));
+  doc["num_runs"] = Json(r.num_runs);
+  doc["decided_runs"] = Json(r.num_runs);
+  Json decisions = Json::object();
+  decisions["0"] = Json(r.num_runs);
+  doc["decision_counts"] = std::move(decisions);
+  doc["total_steps"] = Json(4 * r.num_runs);
+  doc["recoveries"] = Json(0);
+  doc["samples"] = std::move(samples);
+  Json wall = Json::object();
+  wall["wall_seconds"] = Json(0.0);
+  wall["construct_seconds"] = Json(0.0);
+  wall["run_seconds"] = Json(0.0);
+  doc["wall"] = std::move(wall);
+  return doc.dump() + "\n";
+}
+
+TEST(CheckpointStore, OlderFormatOrphanIsRerunNotMerged) {
+  const std::string dir = temp_dir("ckpt_v1_orphan");
+  const SweepConfig config = small_config();
+  {
+    CheckpointStore probe(dir);
+    (void)probe.open(config);
+    std::ofstream os(probe.shard_path(0), std::ios::trunc);
+    os << v1_shard_text(probe.shard_range(0));
+  }
+  CheckpointStore store(dir);
+  EXPECT_TRUE(store.open(config).empty());  // not adopted
+  EXPECT_FALSE(store.commit_shard(0));      // nor committable
+  // A retry overwrites it with this build's format, which commits.
+  ASSERT_TRUE(store.write_shard(0, compute_shard(store, 0)));
+  EXPECT_TRUE(store.commit_shard(0));
+  EXPECT_EQ(store.merged().num_runs(), 8);
+}
+
+TEST(CheckpointStore, RefusesToResumeOverACommittedOlderFormatShard) {
+  const std::string dir = temp_dir("ckpt_v1_committed");
+  const SweepConfig config = small_config();
+  {
+    CheckpointStore store(dir);
+    (void)store.open(config);
+    ASSERT_TRUE(store.write_shard(0, compute_shard(store, 0)));
+    ASSERT_TRUE(store.commit_shard(0));
+    std::ofstream os(store.shard_path(0), std::ios::trunc);
+    os << v1_shard_text(store.shard_range(0));
+  }
+  CheckpointStore reopen(dir);
+  EXPECT_THROW((void)reopen.open(config), ContractViolation);
 }
 
 TEST(CheckpointStore, RefusesAForeignConfig) {

@@ -339,6 +339,60 @@ TEST(SvcTest, BackpressureEvictsSlowConsumer) {
   }));
 }
 
+TEST(SvcTest, ResultFrameOverTheWriteBufferCountsAsUndelivered) {
+  // The hello, accepted and progress frames fit a 400-byte buffer; the
+  // result frame does not, so the session is evicted with the job done.
+  // That job must not count as completed: nobody received it.
+  ServerOptions options;
+  options.max_write_buffer = 400;
+  TestServer server(options);
+  Client c(server.port());
+  c.expect_hello();
+  c.send_line(sweep_request("big", 1, 200, 20'000, /*chunk=*/200));
+  c.read_until("accepted");
+  EXPECT_TRUE(wait_until([&] { return server.stats().jobs_undelivered == 1; }));
+  const ServerStats st = server.stats();
+  EXPECT_EQ(st.jobs_completed, 0);
+  EXPECT_EQ(st.sessions_evicted, 1);
+  EXPECT_EQ(st.jobs_failed, 0);
+
+  // A job whose frames all fit is completed, not undelivered.
+  TestServer roomy;
+  Client c2(roomy.port());
+  c2.expect_hello();
+  c2.send_line(sweep_request("ok", 1, 200, 20'000, 200));
+  c2.read_until("done");
+  EXPECT_TRUE(wait_until([&] { return roomy.stats().jobs_completed == 1; }));
+  EXPECT_EQ(roomy.stats().jobs_undelivered, 0);
+}
+
+// Result frames are O(distinct values), not O(seeds): 10^3 and 10^5 seeds
+// both fit in 4 KiB and parse under the untrusted limits a client such as
+// tools/loadgen applies.
+TEST(SvcTest, SweepResultFrameIsConstantSize) {
+  TestServer server;
+  Client c(server.port());
+  c.expect_hello();
+  for (const std::int64_t seeds : {std::int64_t{1000}, std::int64_t{100'000}}) {
+    Json req = Json::parse(sweep_request("size", 1, seeds, 20'000, 0, 2));
+    req["protocol"] = Json("two");
+    req["n"] = Json(2.0);
+    c.send_line(req.dump());
+    std::string line;
+    for (;;) {
+      line = c.read_line();
+      ASSERT_FALSE(line.empty()) << "EOF before the result frame";
+      if (Json::parse(line).at("event").as_string() == "result") break;
+    }
+    EXPECT_LT(line.size(), 4096u) << seeds << " seeds";
+    const Json frame = Json::parse(line, obs::ParseLimits::untrusted());
+    const fabric::ShardSummary summary =
+        fabric::shard_summary_from_json(frame.at("summary"));
+    EXPECT_EQ(summary.summary.num_runs, seeds);
+    c.read_until("done");
+  }
+}
+
 TEST(SvcTest, OversizedRequestLineEvicts) {
   ServerOptions options;
   options.max_line_bytes = 1024;

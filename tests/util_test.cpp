@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -144,6 +147,92 @@ TEST(SampleSet, SurvivalTable) {
   EXPECT_DOUBLE_EQ(surv[4], 0.0);
 }
 
+TEST(SampleSet, WeightedAddMergeAndBins) {
+  SampleSet s;
+  s.add(3);
+  s.add(-7, 2);                          // sparse: negative
+  s.add(SampleSet::kDenseLimit + 5, 3);  // sparse: large
+  s.add(0, 4);
+  s.add(3);
+  EXPECT_EQ(s.count(), 11);
+  using Bins = std::vector<std::pair<std::int64_t, std::int64_t>>;
+  EXPECT_EQ(s.bins(), (Bins{{-7, 2}, {0, 4}, {3, 2},
+                            {SampleSet::kDenseLimit + 5, 3}}));
+  EXPECT_EQ(s.min(), -7);
+  EXPECT_EQ(s.max(), SampleSet::kDenseLimit + 5);
+  const std::vector<std::int64_t> flat = s.samples();
+  EXPECT_TRUE(std::is_sorted(flat.begin(), flat.end()));
+  EXPECT_EQ(flat.size(), 11u);
+
+  SampleSet other;
+  other.add(3, 5);
+  other.add(-7);
+  s.merge(other);
+  EXPECT_EQ(s.count(), 17);
+  EXPECT_EQ(s.bins(), (Bins{{-7, 3}, {0, 4}, {3, 7},
+                            {SampleSet::kDenseLimit + 5, 3}}));
+  EXPECT_THROW(s.add(1, 0), ContractViolation);
+}
+
+TEST(SampleSet, EqualityIsOfHistogramsNotInsertionOrder) {
+  SampleSet a;
+  SampleSet b;
+  for (const std::int64_t x : {5, 1, 9000, 1, -2}) a.add(x);
+  for (const std::int64_t x : {-2, 1, 1, 5, 9000}) b.add(x);
+  EXPECT_EQ(a, b);
+  SampleSet c;  // grew its dense array differently; same histogram
+  c.add(1, 2);
+  c.add(5);
+  c.add(-2);
+  c.add(9000);
+  EXPECT_EQ(a, c);
+  c.add(5);
+  EXPECT_FALSE(a == c);
+}
+
+TEST(SampleSet, AnswersMatchASortedReference) {
+  // Every query against the plain sorted-vector definitions, on a mix of
+  // dense, negative and large values.
+  Rng rng(7);
+  SampleSet s;
+  std::vector<std::int64_t> ref;
+  for (int i = 0; i < 5000; ++i) {
+    std::int64_t x = static_cast<std::int64_t>(rng.below(40));
+    if (rng.with_probability(0.05))
+      x = -static_cast<std::int64_t>(rng.below(9));
+    if (rng.with_probability(0.05))
+      x = SampleSet::kDenseLimit + static_cast<std::int64_t>(rng.below(100000));
+    s.add(x);
+    ref.push_back(x);
+  }
+  std::sort(ref.begin(), ref.end());
+  const auto n = static_cast<double>(ref.size());
+  double sum = 0;
+  for (const std::int64_t x : ref) sum += static_cast<double>(x);
+  EXPECT_EQ(s.mean(), sum / n);  // exact: the integer sum is below 2^53
+  double acc = 0;
+  for (const std::int64_t x : ref) {
+    const double d = static_cast<double>(x) - sum / n;
+    acc += d * d;
+  }
+  EXPECT_NEAR(s.stddev(), std::sqrt(acc / (n - 1)), 1e-9 * s.stddev());
+  EXPECT_EQ(s.min(), ref.front());
+  EXPECT_EQ(s.max(), ref.back());
+  for (int k = 0; k <= 100; ++k) {
+    const double q = k / 100.0;
+    std::size_t rank = static_cast<std::size_t>(std::ceil(q * n));
+    if (rank > 0) --rank;
+    if (rank >= ref.size()) rank = ref.size() - 1;
+    EXPECT_EQ(s.percentile(q), ref[rank]) << q;
+  }
+  for (const std::int64_t k :
+       {-10, -1, 0, 1, 20, 39, 40, 4096, 50000, 200000}) {
+    const auto at_least = static_cast<double>(
+        ref.end() - std::lower_bound(ref.begin(), ref.end(), k));
+    EXPECT_EQ(s.tail_at_least(k), at_least / n) << k;
+  }
+}
+
 TEST(Stats, GeometricTailFitRecoversRatio) {
   // Sample a geometric distribution with ratio 0.75 (Theorem 9's bound).
   Rng rng(42);
@@ -155,16 +244,6 @@ TEST(Stats, GeometricTailFitRecoversRatio) {
   }
   const double r = fit_geometric_tail_ratio(s);
   EXPECT_NEAR(r, 0.75, 0.03);
-}
-
-TEST(Histogram, CountsAndAscii) {
-  Histogram h;
-  h.add(1);
-  h.add(1);
-  h.add(2);
-  EXPECT_EQ(h.total(), 3);
-  const std::string art = h.ascii(10);
-  EXPECT_NE(art.find('#'), std::string::npos);
 }
 
 TEST(BitField, PackUnpack) {

@@ -130,6 +130,7 @@ obs::Json stats_to_json(const svc::ServerStats& st) {
   j["bytes_out"] = obs::Json(static_cast<double>(st.bytes_out));
   j["jobs_submitted"] = obs::Json(static_cast<double>(st.jobs_submitted));
   j["jobs_completed"] = obs::Json(static_cast<double>(st.jobs_completed));
+  j["jobs_undelivered"] = obs::Json(static_cast<double>(st.jobs_undelivered));
   j["jobs_failed"] = obs::Json(static_cast<double>(st.jobs_failed));
   j["jobs_cancelled"] = obs::Json(static_cast<double>(st.jobs_cancelled));
   return j;
