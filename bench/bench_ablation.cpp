@@ -38,14 +38,14 @@ struct HuntResult {
   std::optional<std::uint64_t> first_seed;
 };
 
-/// Run `make_protocol()` against an adversary phase + round-robin drain for
+/// Run `build()`'s protocol against an adversary phase + round-robin drain for
 /// many seeds; count consistency/nontriviality violations.
-HuntResult hunt(const std::function<std::unique_ptr<Protocol>()>& make_protocol,
+HuntResult hunt(const std::function<std::unique_ptr<Protocol>()>& build,
                 std::int64_t seeds) {
   HuntResult out;
   for (std::uint64_t seed = 0; seed < static_cast<std::uint64_t>(seeds);
        ++seed) {
-    const auto protocol = make_protocol();
+    const auto protocol = build();
     std::vector<Value> inputs;
     for (int i = 0; i < protocol->num_processes(); ++i)
       inputs.push_back(static_cast<Value>((seed >> i) & 1));

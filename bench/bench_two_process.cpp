@@ -19,9 +19,9 @@
 #include "analysis/explorer.h"
 #include "analysis/mdp.h"
 #include "bench/bench_util.h"
+#include "core/registry.h"
 #include "core/two_process.h"
 #include "fault/fault_plan.h"
-#include "sched/adversary.h"
 #include "sched/schedulers.h"
 #include "util/stats.h"
 
@@ -33,14 +33,15 @@ namespace {
 constexpr int kRuns = 20000;
 
 // The random sweep, batched: pooled simulations (reset per seed) sharded
-// across bench_threads() workers. The per-seed scheduler constructions match
-// the historical serial loop exactly — RandomScheduler(seed ^ 0x1234),
-// DecisionAvoidingAdversary(seed + 17) — via reseed() on a pooled instance,
-// so the steps.* sample metrics are bit-identical to pre-batch baselines.
+// across bench_threads() workers. The random and adversary sweeps arm each
+// seed's scheduler from the run registry's spec, which seeds it exactly as
+// the historical serial loop did, so the steps.* sample metrics are
+// bit-identical to pre-batch baselines.
 SampleSet measure(const TwoProcessProtocol& protocol,
                   const char* scheduler_name, BenchReport* report = nullptr) {
   const std::string name = scheduler_name;
   SchedulerFactory factory;
+  BatchOptions opts;
   if (name == "round-robin") {
     factory = [] {
       auto s = std::make_shared<RoundRobinScheduler>();
@@ -49,26 +50,12 @@ SampleSet measure(const TwoProcessProtocol& protocol,
         return *s;
       };
     };
-  } else if (name == "random") {
-    factory = [] {
-      auto s = std::make_shared<RandomScheduler>(0);
-      return [s](std::uint64_t seed) -> Scheduler& {
-        s->reseed(seed ^ 0x1234);
-        return *s;
-      };
-    };
   } else {
-    factory = [] {
-      auto s = std::make_shared<DecisionAvoidingAdversary>(0);
-      return [s](std::uint64_t seed) -> Scheduler& {
-        s->reseed(seed + 17);
-        return *s;
-      };
-    };
+    opts.lane_sched = registry::sched_spec(name == "random" ? "random"
+                                                            : "avoid");
   }
 
   BatchRunner batch(protocol, {0, 1});
-  BatchOptions opts;
   opts.first_seed = 0;
   opts.num_runs = kRuns;
   opts.threads = bench_threads();
@@ -105,10 +92,9 @@ void measure_lane(const TwoProcessProtocol& protocol,
   opts.threads = bench_threads();
   opts.engine = BatchEngine::kLane;
   opts.lanes = bench_lanes();
-  opts.lane_sched = name == "random"
-                        ? LaneSchedSpec{LaneSchedSpec::Kind::kRandom, 0x1234, 0}
-                        : LaneSchedSpec{LaneSchedSpec::Kind::kAvoid, 0, 17};
-  const BatchSummary b = batch.run(opts, nullptr);
+  opts.lane_sched = registry::sched_spec(name == "random" ? "random"
+                                                          : "avoid");
+  const BatchSummary b = batch.run(opts);
   add_lane_batch_report(report, scheduler_name, b);
   std::printf(
       "  [%s engine=lane: %.0f runs/s on %d threads x %d lanes,"
@@ -135,14 +121,8 @@ void measure_crash_series(const TwoProcessProtocol& protocol,
   opts.num_runs = kRuns;
   opts.threads = bench_threads();
   opts.fault_plan = &plan;
-  const auto factory = [] {
-    auto s = std::make_shared<RandomScheduler>(0);
-    return [s](std::uint64_t seed) -> Scheduler& {
-      s->reseed(seed ^ 0x1234);
-      return *s;
-    };
-  };
-  const BatchSummary scalar = batch.run(opts, factory);
+  opts.lane_sched = registry::sched_spec("random");
+  const BatchSummary scalar = batch.run(opts);
   add_batch_report(report, "crash-recovery", scalar);
   std::printf("  [crash-recovery: %.2f us/run scalar, %lld recoveries]\n",
               1e6 * scalar.wall_seconds / static_cast<double>(scalar.num_runs),
@@ -150,8 +130,7 @@ void measure_crash_series(const TwoProcessProtocol& protocol,
 
   opts.engine = BatchEngine::kLane;
   opts.lanes = bench_lanes();
-  opts.lane_sched = {LaneSchedSpec::Kind::kRandom, 0x1234, 0};
-  const BatchSummary lane = batch.run(opts, nullptr);
+  const BatchSummary lane = batch.run(opts);
   add_lane_batch_report(report, "crash-recovery", lane);
   std::printf(
       "  [crash-recovery engine=lane: %.2f us/run on %d threads x %d lanes,"

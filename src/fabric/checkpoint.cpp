@@ -3,30 +3,14 @@
 #include <algorithm>
 #include <exception>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <string>
 
 #include "obs/export.h"
 #include "util/check.h"
 
 namespace cil::fabric {
 
-namespace {
-
 using obs::Json;
-
-/// Whole-file read; empty optional semantics via ok flag are not needed —
-/// callers treat any failure as "no usable file".
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return false;
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  out = ss.str();
-  return static_cast<bool>(is);
-}
-
-}  // namespace
 
 Json sweep_config_to_json(const SweepConfig& config) {
   Json j = Json::object();
@@ -96,7 +80,7 @@ std::vector<int> CheckpointStore::open(const SweepConfig& config) {
                 "CheckpointStore: cannot create directory " + dir_);
 
   std::string text;
-  if (read_file(manifest_path(), text)) {
+  if (obs::read_text_file(manifest_path(), text)) {
     const Json doc = Json::parse(text);
     CIL_CHECK_MSG(doc.is_object() && doc.find("artifact") != nullptr &&
                       doc.at("artifact").as_string() == kManifestArtifactName,
@@ -161,7 +145,7 @@ bool CheckpointStore::write_shard(int index, const ShardSummary& shard) const {
 ShardSummary CheckpointStore::load_shard(int index) const {
   CIL_EXPECTS(opened_);
   std::string text;
-  CIL_CHECK_MSG(read_file(shard_path(index), text),
+  CIL_CHECK_MSG(obs::read_text_file(shard_path(index), text),
                 "CheckpointStore: cannot read " + shard_path(index));
   const ShardSummary shard = shard_summary_from_json(Json::parse(text));
   CIL_CHECK_MSG(shard.range == shard_range(index),

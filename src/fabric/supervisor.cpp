@@ -19,10 +19,9 @@
 
 namespace cil::fabric {
 
-double backoff_seconds(const SupervisorOptions& options, int attempt) {
-  const double raw = options.backoff_initial_seconds *
-                     std::pow(options.backoff_factor, attempt);
-  return std::min(options.backoff_max_seconds, raw);
+double backoff_seconds(double initial_seconds, double max_seconds,
+                       int attempt) {
+  return std::min(max_seconds, std::ldexp(initial_seconds, attempt));
 }
 
 namespace {
@@ -125,7 +124,9 @@ SweepOutcome run_supervised(const std::vector<ShardTask>& tasks,
                    r.task.index, r.attempt, reason.c_str());
     if (r.attempt < options.retry_budget) {
       ++out.retries;
-      const double delay = backoff_seconds(options, r.attempt);
+      const double delay =
+          backoff_seconds(options.backoff_initial_seconds,
+                          options.backoff_max_seconds, r.attempt);
       pending.push_back(
           {r.task, r.attempt + 1,
            Clock::now() + std::chrono::duration_cast<Clock::duration>(

@@ -44,8 +44,7 @@ struct SupervisorOptions {
   int workers = 2;                  ///< max concurrent child processes
   double shard_timeout_seconds = 120.0;  ///< <= 0: no timeout
   int retry_budget = 3;             ///< retries per shard after the first try
-  double backoff_initial_seconds = 0.1;
-  double backoff_factor = 2.0;
+  double backoff_initial_seconds = 0.1;  ///< doubles per retry
   double backoff_max_seconds = 5.0;
   bool verbose = false;             ///< per-event lines on stderr
 };
@@ -76,8 +75,10 @@ struct SweepOutcome {
 /// supervisor _exit()s with the returned code immediately after.
 using ShardWorker = std::function<int(const ShardTask& task, int attempt)>;
 
-/// Exponential backoff schedule: min(max, initial * factor^attempt).
-double backoff_seconds(const SupervisorOptions& options, int attempt);
+/// The retry backoff schedule, shared with the fleet's shard requeue:
+/// min(max_seconds, initial_seconds * 2^attempt).
+double backoff_seconds(double initial_seconds, double max_seconds,
+                       int attempt);
 
 /// Drive `tasks` to completion (or budget exhaustion) with at most
 /// options.workers concurrent forked children. Tasks already committed in

@@ -4,12 +4,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <map>
 
 #include "fabric/checkpoint.h"
 #include "fabric/summary.h"
+#include "fabric/supervisor.h"
 #include "obs/json.h"
 #include "sched/batch.h"
 #include "util/check.h"
@@ -20,11 +20,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string u64_str(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  return buf;
-}
+// Remote retry backoff: 50 ms, doubling per failed attempt, capped at 2 s.
+constexpr double kBackoffInitialSeconds = 0.05;
+constexpr double kBackoffMaxSeconds = 2.0;
 
 int ms_until(Clock::time_point deadline) {
   const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -635,18 +633,10 @@ void FleetService::run_fleet_sweep(const svc::JobSpec& spec,
   std::unique_ptr<fabric::CheckpointStore> store;
   std::map<int, fabric::ShardSummary> results;
   if (!options_.checkpoint_dir.empty()) {
-    fabric::SweepConfig cfg;
-    cfg.protocol = spec.protocol;
-    cfg.num_processes = spec.n;
-    cfg.scheduler = spec.adversary;
-    cfg.range = full;
-    cfg.shard_size = shard_size;
-    cfg.max_total_steps = spec.steps;
-    cfg.check_every = spec.check_every;
     try {
       store =
           std::make_unique<fabric::CheckpointStore>(options_.checkpoint_dir);
-      for (const int idx : store->open(cfg)) {
+      for (const int idx : store->open(svc::sweep_config(spec, shard_size))) {
         if (idx < 0 || idx >= static_cast<int>(shards.size())) continue;
         results[idx] = store->load_shard(idx);
         shards[static_cast<std::size_t>(idx)].state = Shard::State::kDone;
@@ -818,12 +808,10 @@ void FleetService::peer_worker(int q, const svc::JobSpec& spec,
       commit_shard_result(idx, out, spec);
     } else {
       ++s.attempts;
-      int backoff = options_.backoff_ms;
-      for (int a = 1; a < s.attempts && backoff < options_.backoff_max_ms;
-           ++a)
-        backoff *= 2;
-      backoff = std::min(backoff, options_.backoff_max_ms);
-      s.not_before = Clock::now() + std::chrono::milliseconds(backoff);
+      const double delay = fabric::backoff_seconds(
+          kBackoffInitialSeconds, kBackoffMaxSeconds, s.attempts - 1);
+      s.not_before = Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                        std::chrono::duration<double>(delay));
       s.state = Shard::State::kPending;
       note("shard " + std::to_string(idx) + " failed on peer " +
            std::to_string(q) + " (attempt " + std::to_string(s.attempts) +
@@ -858,20 +846,15 @@ bool FleetService::dispatch_shard(LineClient& link, int q,
   // data path and the shard result is the standard summary artifact.
   const std::string id = "fs" + std::to_string(shard.index) + "a" +
                          std::to_string(shard.attempts);
-  obs::Json j = obs::Json::object();
-  j["job"] = obs::Json(svc::kJobArtifactName);
-  j["kind"] = obs::Json("sweep");
-  j["id"] = obs::Json(id);
-  j["protocol"] = obs::Json(spec.protocol);
-  j["n"] = obs::Json(spec.n);
-  j["adversary"] = obs::Json(spec.adversary);
-  j["first_seed"] = obs::Json(u64_str(shard.range.first_seed));
-  j["seeds"] = obs::Json(shard.range.num_runs);
-  j["steps"] = obs::Json(spec.steps);
-  j["check_every"] = obs::Json(spec.check_every);
-  j["chunk"] = obs::Json(shard.range.num_runs);
-  j["threads"] = obs::Json(spec.threads);
-  if (!link.send_line(j.dump() + "\n", ms_until(deadline))) return false;
+  svc::JobSpec job = spec;
+  job.id = id;
+  job.first_seed = shard.range.first_seed;
+  job.seeds = shard.range.num_runs;
+  job.chunk = shard.range.num_runs;
+  job.fleet = false;
+  if (!link.send_line(svc::job_spec_to_json(job).dump() + "\n",
+                      ms_until(deadline)))
+    return false;
 
   bool got_result = false;
   fabric::ShardSummary parsed;

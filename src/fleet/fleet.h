@@ -83,8 +83,6 @@ struct FleetOptions {
   std::int64_t shard_size = 0;  ///< 0 = request chunk / server default
   int shard_timeout_ms = 15'000;  ///< per-shard wall-clock deadline
   int retry_budget = 3;  ///< remote attempts before a shard goes local
-  int backoff_ms = 50;   ///< base requeue backoff (doubles per attempt)
-  int backoff_max_ms = 2'000;
 
   // Fabric-level chaos injection (frontend side; peer-side kills are the
   // server's JobLimits chaos knobs). Deterministic from chaos_seed.

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <map>
 #include <ostream>
 #include <thread>
@@ -336,6 +337,13 @@ std::string run_report_json(const std::string& name,
     for (const auto& [key, value] : extra.as_object()) doc[key] = value;
   }
   return doc.dump();
+}
+
+bool read_text_file(const std::string& path, std::string& out) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) return false;
+  out.assign(std::istreambuf_iterator<char>(is), {});
+  return !is.bad();
 }
 
 bool write_text_file(const std::string& path, const std::string& content) {

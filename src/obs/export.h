@@ -109,6 +109,9 @@ std::string run_report_json(const std::string& name,
                             const MetricsRegistry& metrics,
                             const Json& extra = Json());
 
+/// Read the whole of `path` into `out`; false if it cannot be read.
+bool read_text_file(const std::string& path, std::string& out);
+
 /// Overwrite `path` with `content`; returns false (and reports to stderr)
 /// on I/O failure. Shared by the tools and benches that emit artifacts.
 bool write_text_file(const std::string& path, const std::string& content);

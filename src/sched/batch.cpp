@@ -127,11 +127,6 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
   // serviceable. The downgrade is loud: once on stderr, and durably in
   // BatchSummary::note so artifacts record it.
   const bool lane = lane_requested && probe == nullptr;
-  CIL_CHECK_MSG(lane || make_scheduler != nullptr,
-                lane_requested
-                    ? "BatchRunner: engine=lane with a RunProbe falls back to "
-                      "the scalar engine, which needs a scheduler factory"
-                    : "BatchRunner: engine=scalar needs a scheduler factory");
   BatchSummary out;
   if (lane_requested && !lane) {
     std::fprintf(stderr,
@@ -238,9 +233,15 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
     BatchSummary& tally = tallies[static_cast<std::size_t>(w)].summary;
     std::int64_t i = begin;
     try {
-      const SchedulerProvider provide = make_scheduler();
-      CIL_CHECK_MSG(provide != nullptr,
-                    "BatchRunner: scheduler factory returned null provider");
+      // The caller's factory, or else the pooled scheduler options.lane_sched
+      // arms — the same one LaneEngine's scalar fallback uses.
+      SchedulerProvider provide;
+      if (make_scheduler != nullptr) {
+        provide = make_scheduler();
+        CIL_CHECK_MSG(provide != nullptr,
+                      "BatchRunner: scheduler factory returned null provider");
+      }
+      SpecScheduler spec_sched(options.lane_sched);
       std::optional<Simulation> sim;
       // Fault rig, re-armed per seed: FaultPlanScheduler wants fresh event
       // cursors for every run, and the register hook must be re-installed
@@ -270,7 +271,7 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
         } else {
           sim->reset(inputs_, so);
         }
-        Scheduler* sched = &provide(seed);
+        Scheduler* sched = provide ? &provide(seed) : &spec_sched.arm(seed);
         if (options.fault_plan != nullptr) {
           plan_sched.emplace(*sched, *options.fault_plan);
           sched = &*plan_sched;

@@ -82,6 +82,8 @@ struct BatchOptions {
   /// summary never depends on engine, threads, or lanes.
   BatchEngine engine = BatchEngine::kScalar;
   int lanes = 8;
+  /// How each run's scheduler derives from its seed. The lane engine always
+  /// arms from it; scalar workers do whenever run() gets no factory.
   LaneSchedSpec lane_sched;
   /// Shared fault schedule applied to every run, or null for fault-free
   /// sweeps. Served by BOTH engines with bit-identical summaries: scalar
@@ -122,12 +124,15 @@ class BatchCancelled : public std::runtime_error {
 /// provider owns one pooled scheduler and reseeds it:
 ///
 ///   batch.run(opts, [] {
-///     auto s = std::make_shared<RandomScheduler>(0);
-///     return [s](std::uint64_t seed) -> Scheduler& {
-///       s->reseed(seed ^ 0x1234);
+///     auto s = std::make_shared<RoundRobinScheduler>();
+///     return [s](std::uint64_t) -> Scheduler& {
+///       s->reset();
 ///       return *s;
 ///     };
 ///   });
+///
+/// The schedulers a LaneSchedSpec can express need no factory: pass null
+/// and BatchOptions::lane_sched arms them.
 using SchedulerProvider = std::function<Scheduler&(std::uint64_t seed)>;
 
 /// Called once per worker (and once on the serial path) to build that
@@ -221,8 +226,9 @@ class BatchRunner {
 
   /// Execute the sweep. Throws the earliest-seed CoordinationViolation (or
   /// other error) a serial sweep would have hit, after all workers joined.
+  /// A null `make_scheduler` arms every run from options.lane_sched.
   BatchSummary run(const BatchOptions& options,
-                   const SchedulerFactory& make_scheduler,
+                   const SchedulerFactory& make_scheduler = nullptr,
                    const RunProbe& probe = nullptr,
                    const RunHook& after_run = nullptr);
 

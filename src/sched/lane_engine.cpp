@@ -8,8 +8,6 @@
 #include <sstream>
 
 #include "fault/sim_faults.h"
-#include "sched/adversary.h"
-#include "sched/schedulers.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -1041,6 +1039,15 @@ bool LaneEngine::run_soa_impl(std::uint64_t first_seed, std::int64_t num_runs,
   return harvested == num_runs;
 }
 
+Scheduler& SpecScheduler::arm(std::uint64_t seed) {
+  if (spec_.kind == LaneSchedSpec::Kind::kRandom) {
+    random_.reseed(seed ^ spec_.seed_xor);
+    return random_;
+  }
+  avoid_.reseed(seed + spec_.seed_add);
+  return avoid_;
+}
+
 bool LaneEngine::run_scalar(std::uint64_t first_seed, std::int64_t num_runs,
                             const LaneRunOptions& options,
                             const LaneHarvest& harvest) {
@@ -1049,8 +1056,7 @@ bool LaneEngine::run_scalar(std::uint64_t first_seed, std::int64_t num_runs,
   // seed, the fault plan (if any) applied through a per-seed
   // FaultPlanScheduler — so "lane diverged" can never mean "result differs".
   std::optional<Simulation> sim;
-  std::optional<RandomScheduler> random;
-  std::optional<DecisionAvoidingAdversary> avoid;
+  SpecScheduler spec_sched(options.sched);
   std::optional<fault::FaultPlanScheduler> plan_sched;
   std::optional<fault::SimRegisterFaults> reg_faults;
 
@@ -1078,22 +1084,7 @@ bool LaneEngine::run_scalar(std::uint64_t first_seed, std::int64_t num_runs,
         } else {
           sim->reset(inputs_, so);
         }
-        Scheduler* sched = nullptr;
-        if (options.sched.kind == LaneSchedSpec::Kind::kRandom) {
-          if (!random) {
-            random.emplace(seed ^ options.sched.seed_xor);
-          } else {
-            random->reseed(seed ^ options.sched.seed_xor);
-          }
-          sched = &*random;
-        } else {
-          if (!avoid) {
-            avoid.emplace(seed + options.sched.seed_add);
-          } else {
-            avoid->reseed(seed + options.sched.seed_add);
-          }
-          sched = &*avoid;
-        }
+        Scheduler* sched = &spec_sched.arm(seed);
         if (options.fault_plan != nullptr) {
           // Fresh event cursors per seed; the plan itself is shared. Word
           // faults re-arm per run too (reset() clears the hook), keyed by

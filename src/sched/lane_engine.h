@@ -62,6 +62,8 @@
 
 #include "fault/fault_plan.h"
 #include "registers/lane_register_file.h"
+#include "sched/adversary.h"
+#include "sched/schedulers.h"
 #include "sched/simulation.h"
 
 namespace cil {
@@ -78,6 +80,22 @@ struct LaneSchedSpec {
   Kind kind = Kind::kRandom;
   std::uint64_t seed_xor = 0x1234;  ///< kRandom: scheduler seed = seed ^ this
   std::uint64_t seed_add = 17;      ///< kAvoid: scheduler seed = seed + this
+};
+
+/// One worker's pooled scheduler for a LaneSchedSpec: arm(seed) re-arms it
+/// exactly as a fresh scheduler for that run seed would start, and returns
+/// it (valid until the next arm). The one place a spec becomes a Scheduler:
+/// LaneEngine's scalar fallback and BatchRunner's factory-less scalar
+/// workers both arm through it, so the engines cannot drift.
+class SpecScheduler {
+ public:
+  explicit SpecScheduler(const LaneSchedSpec& spec) : spec_(spec) {}
+  Scheduler& arm(std::uint64_t seed);
+
+ private:
+  LaneSchedSpec spec_;
+  RandomScheduler random_{0};
+  DecisionAvoidingAdversary avoid_{0};
 };
 
 struct LaneRunOptions {

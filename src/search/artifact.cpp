@@ -1,8 +1,7 @@
 #include "search/artifact.h"
 
 #include <cmath>
-#include <fstream>
-#include <sstream>
+#include <string>
 #include <utility>
 
 #include "obs/export.h"
@@ -86,11 +85,10 @@ bool write_artifact_file(const std::string& path, const WorstPlanArtifact& a) {
 }
 
 WorstPlanArtifact load_artifact_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  CIL_CHECK_MSG(is.good(), "cannot open worst-plan artifact: " + path);
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return artifact_from_json(obs::Json::parse(buf.str()));
+  std::string text;
+  CIL_CHECK_MSG(obs::read_text_file(path, text),
+                "cannot open worst-plan artifact: " + path);
+  return artifact_from_json(obs::Json::parse(text));
 }
 
 ReplayOutcome replay_artifact(const WorstPlanArtifact& a,

@@ -6,14 +6,10 @@
 #include <memory>
 #include <vector>
 
-#include "core/bounded_three.h"
-#include "core/two_process.h"
-#include "core/unbounded.h"
+#include "core/registry.h"
 #include "fabric/summary.h"
 #include "obs/export.h"
-#include "sched/adversary.h"
 #include "sched/batch.h"
-#include "sched/schedulers.h"
 #include "search/artifact.h"
 #include "search/evaluate.h"
 #include "search/optimize.h"
@@ -24,73 +20,28 @@ namespace cil::svc {
 
 namespace {
 
-/// The same protocol/ablation table tools/sweep and tools/hunt expose,
-/// restricted to the three core protocols the service serves.
-std::unique_ptr<Protocol> make_protocol(const std::string& name, int n,
-                                        const std::string& ablation) {
-  if (name == "two") {
-    TwoProcessProtocol::Options o;
-    o.buggy_warm_recovery = (ablation == "warm-recovery");
-    return std::make_unique<TwoProcessProtocol>(1, o);
-  }
-  if (name == "unbounded") {
-    UnboundedProtocol::Options o;
-    o.literal_condition2 = (ablation == "literal-cond2");
-    return std::make_unique<UnboundedProtocol>(n, 1, o);
-  }
-  if (name == "bounded") {
-    BoundedThreeProtocol::Options o;
-    o.naive_unanimity = (ablation == "naive-unanimity");
-    o.no_blocker_guard = (ablation == "no-guard");
-    return std::make_unique<BoundedThreeProtocol>(o);
-  }
-  CIL_CHECK_MSG(false, "unknown protocol '" + name + "'");
-  return nullptr;
-}
-
-std::vector<Value> default_inputs(int n) {
-  std::vector<Value> inputs;
-  inputs.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) inputs.push_back(static_cast<Value>(i & 1));
-  return inputs;
-}
-
-SchedulerFactory make_factory(const std::string& adversary) {
-  if (adversary == "random") {
-    return [] {
-      auto s = std::make_shared<RandomScheduler>(0);
-      return [s](std::uint64_t seed) -> Scheduler& {
-        s->reseed(seed ^ 0x1234);
-        return *s;
-      };
-    };
-  }
-  CIL_CHECK_MSG(adversary == "avoid", "unknown adversary '" + adversary + "'");
-  return [] {
-    auto s = std::make_shared<DecisionAvoidingAdversary>(0);
-    return [s](std::uint64_t seed) -> Scheduler& {
-      s->reseed(seed + 17);
-      return *s;
-    };
-  };
-}
-
 void check_cancel(const std::atomic<bool>& cancel) {
   if (cancel.load(std::memory_order_relaxed)) throw JobCancelled();
 }
 
-/// Arm a sweep's BatchOptions with the server's engine knobs. The lane
-/// spec re-derives the exact scheduler seeding make_factory uses, so the
-/// lane engine's scalar fallback — and its SoA kernel, by the golden pin —
-/// produce byte-identical summaries to the scalar engine.
-void apply_engine(BatchOptions& bo, const JobLimits& limits,
-                  const std::string& adversary) {
-  if (limits.sweep_engine != BatchEngine::kLane) return;
-  bo.engine = BatchEngine::kLane;
-  bo.lanes = limits.sweep_lanes;
-  bo.lane_sched = adversary == "random"
-                      ? LaneSchedSpec{LaneSchedSpec::Kind::kRandom, 0x1234, 0}
-                      : LaneSchedSpec{LaneSchedSpec::Kind::kAvoid, 0, 17};
+/// The BatchOptions of one sweep chunk or fleet shard: the spec's run
+/// knobs, its adversary as a LaneSchedSpec, and the server's engine.
+BatchOptions batch_options(const JobSpec& spec, const SeedRange& range,
+                           const JobLimits& limits,
+                           const std::atomic<bool>& cancel) {
+  BatchOptions bo;
+  bo.first_seed = range.first_seed;
+  bo.num_runs = range.num_runs;
+  bo.threads = spec.threads;
+  bo.max_total_steps = spec.steps;
+  bo.check_every = spec.check_every;
+  bo.cancel = &cancel;
+  bo.lane_sched = registry::sched_spec(spec.adversary);
+  if (limits.sweep_engine == BatchEngine::kLane) {
+    bo.engine = BatchEngine::kLane;
+    bo.lanes = limits.sweep_lanes;
+  }
+  return bo;
 }
 
 /// The chaos-soak kill switch (JobLimits::chaos_kill_prob): a per-seed
@@ -113,11 +64,6 @@ RunHook make_chaos_kill_hook(const JobLimits& limits) {
 
 void run_sweep(const JobSpec& spec, const std::atomic<bool>& cancel,
                const JobLimits& limits, const EmitFrame& emit) {
-  const auto protocol = make_protocol(spec.protocol, spec.n, "");
-  const std::vector<Value> inputs =
-      default_inputs(protocol->num_processes());
-  const SchedulerFactory factory = make_factory(spec.adversary);
-
   const std::int64_t chunk_size =
       spec.chunk > 0 ? spec.chunk
                      : std::max<std::int64_t>(1, std::min(limits.default_chunk,
@@ -126,22 +72,17 @@ void run_sweep(const JobSpec& spec, const std::atomic<bool>& cancel,
       shard_seed_range({spec.first_seed, spec.seeds}, chunk_size);
   const RunHook chaos = make_chaos_kill_hook(limits);
 
-  BatchRunner runner(*protocol, inputs);
+  const auto protocol = registry::make_protocol(spec.protocol, spec.n);
+  BatchRunner runner(*protocol,
+                     registry::sweep_inputs(protocol->num_processes()));
   fabric::SweepSummary merged;
   std::int64_t done = 0, decided = 0, total_steps = 0;
   for (const SeedRange& range : chunks) {
     check_cancel(cancel);
-    BatchOptions bo;
-    bo.first_seed = range.first_seed;
-    bo.num_runs = range.num_runs;
-    bo.threads = spec.threads;
-    bo.max_total_steps = spec.steps;
-    bo.check_every = spec.check_every;
-    bo.cancel = &cancel;
-    apply_engine(bo, limits, spec.adversary);
     BatchSummary summary;
     try {
-      summary = runner.run(bo, factory, nullptr, chaos);
+      summary = runner.run(batch_options(spec, range, limits, cancel),
+                           nullptr, nullptr, chaos);
     } catch (const BatchCancelled&) {
       throw JobCancelled();
     }
@@ -158,9 +99,10 @@ void run_sweep(const JobSpec& spec, const std::atomic<bool>& cancel,
 
 void run_hunt(const JobSpec& spec, const std::atomic<bool>& cancel,
               const JobLimits& limits, const EmitFrame& emit) {
-  const auto protocol = make_protocol(spec.protocol, spec.n, spec.ablation);
+  const auto protocol =
+      registry::make_protocol(spec.protocol, spec.n, spec.ablation);
   const int n = protocol->num_processes();
-  const std::vector<Value> inputs = default_inputs(n);
+  const std::vector<Value> inputs = registry::sweep_inputs(n);
 
   search::SimEvalOptions eval_opts;
   eval_opts.inputs = inputs;
@@ -213,14 +155,10 @@ void run_replay(const JobSpec& spec, const std::atomic<bool>& cancel,
       search::artifact_from_json(spec.worst_plan);
   CIL_CHECK_MSG(artifact.substrate == "sim",
                 "svc replay serves the sim substrate only");
-  CIL_CHECK_MSG(artifact.protocol == "two" ||
-                    artifact.protocol == "unbounded" ||
-                    artifact.protocol == "bounded",
-                "svc replay: unsupported protocol '" + artifact.protocol +
-                    "'");
+  registry::check_sweep_protocol(artifact.protocol);
   check_cancel(cancel);
 
-  const auto protocol = make_protocol(
+  const auto protocol = registry::make_protocol(
       artifact.protocol, artifact.num_processes, artifact.ablation);
 
   // The sink-to-socket path: replay events render to JSONL lines and leave
@@ -281,24 +219,27 @@ fabric::ShardSummary run_sweep_shard(const JobSpec& spec,
                                      const SeedRange& range,
                                      const std::atomic<bool>& cancel,
                                      const JobLimits& limits) {
-  const auto protocol = make_protocol(spec.protocol, spec.n, "");
-  const std::vector<Value> inputs = default_inputs(protocol->num_processes());
-  const SchedulerFactory factory = make_factory(spec.adversary);
-
-  BatchRunner runner(*protocol, inputs);
-  BatchOptions bo;
-  bo.first_seed = range.first_seed;
-  bo.num_runs = range.num_runs;
-  bo.threads = spec.threads;
-  bo.max_total_steps = spec.steps;
-  bo.check_every = spec.check_every;
-  bo.cancel = &cancel;
-  apply_engine(bo, limits, spec.adversary);
+  const auto protocol = registry::make_protocol(spec.protocol, spec.n);
+  BatchRunner runner(*protocol,
+                     registry::sweep_inputs(protocol->num_processes()));
   try {
-    return {range, runner.run(bo, factory)};
+    return {range, runner.run(batch_options(spec, range, limits, cancel))};
   } catch (const BatchCancelled&) {
     throw JobCancelled();
   }
+}
+
+fabric::SweepConfig sweep_config(const JobSpec& spec,
+                                 std::int64_t shard_size) {
+  fabric::SweepConfig config;
+  config.protocol = spec.protocol;
+  config.num_processes = registry::process_count(spec.protocol, spec.n);
+  config.scheduler = spec.adversary;
+  config.range = {spec.first_seed, spec.seeds};
+  config.shard_size = shard_size;
+  config.max_total_steps = spec.steps;
+  config.check_every = spec.check_every;
+  return config;
 }
 
 }  // namespace cil::svc

@@ -32,6 +32,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "fabric/checkpoint.h"
 #include "fabric/summary.h"
 #include "sched/batch.h"
 #include "svc/wire.h"
@@ -106,5 +107,10 @@ fabric::ShardSummary run_sweep_shard(const JobSpec& spec,
                                      const SeedRange& range,
                                      const std::atomic<bool>& cancel,
                                      const JobLimits& limits = {});
+
+/// The checkpoint identity of a sweep spec cut into `shard_size`-run
+/// shards (fabric::CheckpointStore). Records the protocol's real process
+/// count, so specs that differ only in an ignored `n` share one identity.
+fabric::SweepConfig sweep_config(const JobSpec& spec, std::int64_t shard_size);
 
 }  // namespace cil::svc

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "core/registry.h"
 #include "util/check.h"
 #include "util/simd.h"
 
@@ -20,12 +21,13 @@ std::int64_t take_int(const obs::Json& doc, const char* key,
   if (v == nullptr) return def;
   if (!v->is_number()) spec_fail(std::string(key) + " must be a number");
   const double d = v->as_number();
+  // Range first: casting an out-of-range double to int64 is undefined.
+  if (!(d >= static_cast<double>(lo) && d <= static_cast<double>(hi)))
+    spec_fail(std::string(key) + " out of range [" + std::to_string(lo) +
+              ", " + std::to_string(hi) + "]");
   const auto i = static_cast<std::int64_t>(d);
   if (static_cast<double>(i) != d)
     spec_fail(std::string(key) + " must be integral");
-  if (i < lo || i > hi)
-    spec_fail(std::string(key) + " out of range [" + std::to_string(lo) +
-              ", " + std::to_string(hi) + "]");
   return i;
 }
 
@@ -98,17 +100,14 @@ JobSpec job_spec_from_json(const obs::Json& doc) {
   if (spec.kind == "ping") return spec;
 
   spec.protocol = take_string(doc, "protocol", spec.protocol);
-  if (!one_of(spec.protocol, {"two", "unbounded", "bounded"}))
-    spec_fail("unknown protocol '" + spec.protocol + "'");
-  spec.n = static_cast<int>(take_int(doc, "n", spec.n, 2, 1024));
-  if (spec.protocol == "two") spec.n = 2;
-  if (spec.protocol == "bounded") spec.n = 3;
+  registry::check_sweep_protocol(spec.protocol);
+  spec.n = registry::process_count(
+      spec.protocol, static_cast<int>(take_int(doc, "n", spec.n, 2, 1024)));
   spec.steps = take_int(doc, "steps", spec.steps, 1, 10'000'000);
 
   if (spec.kind == "sweep") {
     spec.adversary = take_string(doc, "adversary", spec.adversary);
-    if (!one_of(spec.adversary, {"random", "avoid"}))
-      spec_fail("unknown adversary '" + spec.adversary + "'");
+    (void)registry::sched_spec(spec.adversary);
     spec.first_seed = take_seed(doc, "first_seed", spec.first_seed);
     spec.seeds = take_int(doc, "seeds", spec.seeds, 1, 10'000'000);
     spec.check_every = take_int(doc, "check_every", spec.check_every, 1,
@@ -125,9 +124,7 @@ JobSpec job_spec_from_json(const obs::Json& doc) {
     if (!one_of(spec.search, {"uniform", "anneal", "evo"}))
       spec_fail("unknown search '" + spec.search + "'");
     spec.ablation = take_string(doc, "ablation", spec.ablation);
-    if (!one_of(spec.ablation, {"", "warm-recovery", "literal-cond2",
-                                "naive-unanimity", "no-guard"}))
-      spec_fail("unknown ablation '" + spec.ablation + "'");
+    registry::check_ablation(spec.protocol, spec.ablation);
     spec.budget = take_int(doc, "budget", spec.budget, 1, 1'000'000);
     spec.search_seed = take_seed(doc, "search_seed", spec.search_seed);
     spec.eval_steps = take_int(doc, "eval_steps", spec.eval_steps, 1,
@@ -176,6 +173,7 @@ obs::Json job_spec_to_json(const JobSpec& spec) {
     j["recovery"] = obs::Json(spec.recovery);
     j["reg_faults"] = obs::Json(spec.reg_faults);
   } else {
+    j["worst_plan"] = spec.worst_plan;
     j["stream_events"] = obs::Json(spec.stream_events);
   }
   return j;

@@ -51,7 +51,7 @@ struct JobSpec {
 
   // kind=sweep (also the substrate knobs hunt/replay reuse where noted)
   std::string protocol = "unbounded";  ///< "two" | "unbounded" | "bounded"
-  int n = 3;                           ///< unbounded only; forced otherwise
+  int n = 3;  ///< unbounded only; the registry's fixed count otherwise
   std::string adversary = "random";    ///< "random" | "avoid"
   std::uint64_t first_seed = 1;
   std::int64_t seeds = 100;
@@ -78,11 +78,13 @@ struct JobSpec {
 
 /// Parse + validate a request document. Throws ContractViolation with a
 /// client-presentable message on a wrong tag, unknown kind, unknown enum
-/// value, or any out-of-cap numeric field.
+/// value, any out-of-cap numeric field, or a protocol, adversary or
+/// ablation the run registry (core/registry.h) does not serve here.
 JobSpec job_spec_from_json(const obs::Json& doc);
 
-/// The normalized spec echo embedded in the accepted frame (only the fields
-/// meaningful for the spec's kind).
+/// The normalized spec (only the fields meaningful for its kind): the echo
+/// in the accepted frame, and the encoder every client-side request goes
+/// through. job_spec_from_json of it reproduces the spec.
 obs::Json job_spec_to_json(const JobSpec& spec);
 
 // Frame builders. Each returns one complete line including the trailing

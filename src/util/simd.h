@@ -54,33 +54,45 @@ inline constexpr int kMaxCompiledWidth = 1;
 template <int N>
 struct u64x;  // only N = 1, and (with vector extensions) 2 and 4, exist
 
+// Every u64x member (and rotl) is always inlined, even at -O0. The wide
+// kernels are target("avx2") functions; an out-of-line member compiled
+// without that target returns its 32-byte vector under another ABI than
+// the caller expects, and a Debug build crashes in the width-4 kernel.
+#if defined(__GNUC__) || defined(__clang__)
+#define CIL_INLINE [[gnu::always_inline]]
+#else
+#define CIL_INLINE
+#endif
+
 #if !defined(CIL_DISABLE_SIMD) && (defined(__GNUC__) || defined(__clang__))
-#define CIL_SIMD_DEFINE_U64X(N, BYTES)                                     \
-  template <>                                                              \
-  struct u64x<N> {                                                         \
-    typedef std::uint64_t V __attribute__((vector_size(BYTES)));           \
-    V v;                                                                   \
-                                                                           \
-    static u64x load(const std::uint64_t* p) {                             \
-      u64x r;                                                              \
-      std::memcpy(&r.v, p, sizeof(r.v));                                   \
-      return r;                                                            \
-    }                                                                      \
-    void store(std::uint64_t* p) const { std::memcpy(p, &v, sizeof(v)); }  \
-    static u64x splat(std::uint64_t x) {                                   \
-      u64x r;                                                              \
-      r.v = V{} + x;                                                       \
-      return r;                                                            \
-    }                                                                      \
-    std::uint64_t lane(int i) const { return v[i]; }                       \
-                                                                           \
-    friend u64x operator+(u64x a, u64x b) { return {a.v + b.v}; }          \
-    friend u64x operator^(u64x a, u64x b) { return {a.v ^ b.v}; }          \
-    friend u64x operator&(u64x a, u64x b) { return {a.v & b.v}; }          \
-    friend u64x operator|(u64x a, u64x b) { return {a.v | b.v}; }          \
-    friend u64x operator~(u64x a) { return {~a.v}; }                       \
-    friend u64x operator<<(u64x a, int k) { return {a.v << k}; }           \
-    friend u64x operator>>(u64x a, int k) { return {a.v >> k}; }           \
+#define CIL_SIMD_DEFINE_U64X(N, BYTES)                                         \
+  template <>                                                                  \
+  struct u64x<N> {                                                             \
+    typedef std::uint64_t V __attribute__((vector_size(BYTES)));               \
+    V v;                                                                       \
+                                                                               \
+    CIL_INLINE static u64x load(const std::uint64_t* p) {                      \
+      u64x r;                                                                  \
+      std::memcpy(&r.v, p, sizeof(r.v));                                       \
+      return r;                                                                \
+    }                                                                          \
+    CIL_INLINE void store(std::uint64_t* p) const {                            \
+      std::memcpy(p, &v, sizeof(v));                                           \
+    }                                                                          \
+    CIL_INLINE static u64x splat(std::uint64_t x) {                            \
+      u64x r;                                                                  \
+      r.v = V{} + x;                                                           \
+      return r;                                                                \
+    }                                                                          \
+    CIL_INLINE std::uint64_t lane(int i) const { return v[i]; }                \
+                                                                               \
+    CIL_INLINE friend u64x operator+(u64x a, u64x b) { return {a.v + b.v}; }   \
+    CIL_INLINE friend u64x operator^(u64x a, u64x b) { return {a.v ^ b.v}; }   \
+    CIL_INLINE friend u64x operator&(u64x a, u64x b) { return {a.v & b.v}; }   \
+    CIL_INLINE friend u64x operator|(u64x a, u64x b) { return {a.v | b.v}; }   \
+    CIL_INLINE friend u64x operator~(u64x a) { return {~a.v}; }                \
+    CIL_INLINE friend u64x operator<<(u64x a, int k) { return {a.v << k}; }    \
+    CIL_INLINE friend u64x operator>>(u64x a, int k) { return {a.v >> k}; }    \
   }
 
 CIL_SIMD_DEFINE_U64X(2, 16);
@@ -92,23 +104,23 @@ template <>
 struct u64x<1> {
   std::uint64_t v;
 
-  static u64x load(const std::uint64_t* p) { return {*p}; }
-  void store(std::uint64_t* p) const { *p = v; }
-  static u64x splat(std::uint64_t x) { return {x}; }
-  std::uint64_t lane(int) const { return v; }
+  CIL_INLINE static u64x load(const std::uint64_t* p) { return {*p}; }
+  CIL_INLINE void store(std::uint64_t* p) const { *p = v; }
+  CIL_INLINE static u64x splat(std::uint64_t x) { return {x}; }
+  CIL_INLINE std::uint64_t lane(int) const { return v; }
 
-  friend u64x operator+(u64x a, u64x b) { return {a.v + b.v}; }
-  friend u64x operator^(u64x a, u64x b) { return {a.v ^ b.v}; }
-  friend u64x operator&(u64x a, u64x b) { return {a.v & b.v}; }
-  friend u64x operator|(u64x a, u64x b) { return {a.v | b.v}; }
-  friend u64x operator~(u64x a) { return {~a.v}; }
-  friend u64x operator<<(u64x a, int k) { return {a.v << k}; }
-  friend u64x operator>>(u64x a, int k) { return {a.v >> k}; }
+  CIL_INLINE friend u64x operator+(u64x a, u64x b) { return {a.v + b.v}; }
+  CIL_INLINE friend u64x operator^(u64x a, u64x b) { return {a.v ^ b.v}; }
+  CIL_INLINE friend u64x operator&(u64x a, u64x b) { return {a.v & b.v}; }
+  CIL_INLINE friend u64x operator|(u64x a, u64x b) { return {a.v | b.v}; }
+  CIL_INLINE friend u64x operator~(u64x a) { return {~a.v}; }
+  CIL_INLINE friend u64x operator<<(u64x a, int k) { return {a.v << k}; }
+  CIL_INLINE friend u64x operator>>(u64x a, int k) { return {a.v >> k}; }
 };
 
 /// rotl on every lane (no vector rotate pre-AVX512; two shifts + or).
 template <int N>
-inline u64x<N> rotl(u64x<N> x, int k) {
+CIL_INLINE inline u64x<N> rotl(u64x<N> x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 

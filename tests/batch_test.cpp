@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bounded_three.h"
+#include "core/registry.h"
 #include "core/two_process.h"
 #include "core/unbounded.h"
 #include "fault/fault_plan.h"
@@ -463,6 +464,33 @@ SchedulerFactory avoid_factory(std::uint64_t add) {
       return *s;
     };
   };
+}
+
+TEST(BatchRunner, NoFactoryArmsFromTheSpecLikeTheExplicitFactory) {
+  // With no factory, scalar workers arm each run's scheduler from
+  // options.lane_sched. The registry's random and avoid specs must match
+  // the hand-seeded reference factories, with and without a fault plan and
+  // across thread counts.
+  UnboundedProtocol protocol(3);
+  BatchRunner batch(protocol, {0, 1, 0});
+  const fault::FaultPlan plan =
+      fault::FaultPlan::parse("fp1;seed=5;crash=1@3;recover=1@6");
+  const fault::FaultPlan* const plans[] = {&plan, nullptr};
+  for (const fault::FaultPlan* fault_plan : plans) {
+    for (const int threads : {1, 3}) {
+      BatchOptions opts;
+      opts.first_seed = 11;
+      opts.num_runs = 90;
+      opts.threads = threads;
+      opts.fault_plan = fault_plan;
+      opts.lane_sched = registry::sched_spec("random");
+      expect_equal_summaries(batch.run(opts, random_factory(0x1234)),
+                             batch.run(opts));
+      opts.lane_sched = registry::sched_spec("avoid");
+      expect_equal_summaries(batch.run(opts, avoid_factory(17)),
+                             batch.run(opts));
+    }
+  }
 }
 
 TEST(BatchLane, RandomTwoProcessMatchesScalarEngine) {

@@ -9,6 +9,7 @@
 //     consistent with cell faults plus up to n-1 injected crashes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
@@ -231,7 +232,21 @@ void expect_survivors_agree(const Protocol& protocol,
   EXPECT_TRUE(r.consistent) << plan_text;
   EXPECT_TRUE(r.all_decided) << plan_text;  // survivors all decided
   EXPECT_GT(r.faults_injected, 0) << plan_text;
-  for (const auto& e : plan.crashes) EXPECT_TRUE(r.crashed[e.pid]);
+  // crash=PID@K fires only if PID is still undecided after K own steps.
+  // So each planned crash either fired at exactly own step K, or was moot:
+  // PID decided within its first K steps and never crashed.
+  for (const auto& e : plan.crashes) {
+    if (r.crashed[e.pid]) {
+      EXPECT_NE(std::find(r.crash_log.begin(), r.crash_log.end(), e),
+                r.crash_log.end())
+          << plan_text << ": pid " << e.pid << " crashed off its planned step";
+    } else {
+      EXPECT_NE(r.decisions[e.pid], kNoValue)
+          << plan_text << ": pid " << e.pid << " neither crashed nor decided";
+      EXPECT_LE(r.steps[e.pid], e.at_step)
+          << plan_text << ": pid " << e.pid << " outlived its crash step";
+    }
+  }
 }
 
 TEST(ProtocolsUnderFaults, TwoProcessSurvivesCellGarbageAndOneCrash) {

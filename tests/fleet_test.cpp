@@ -532,7 +532,6 @@ TEST(FleetSweep, PeerDeathMidSweepReassignsItsShards) {
   for (int i = 0; i < 3; ++i) {
     FleetOptions f = fast_fleet(i, roster);
     f.retry_budget = 2;
-    f.backoff_ms = 20;
     nodes.push_back(std::make_unique<Node>(
         ports[static_cast<std::size_t>(i)], std::move(f)));
   }

@@ -112,15 +112,16 @@ SupervisorOptions fast_options() {
 }
 
 TEST(Backoff, GrowsGeometricallyAndSaturates) {
-  SupervisorOptions options;
-  options.backoff_initial_seconds = 0.1;
-  options.backoff_factor = 2.0;
-  options.backoff_max_seconds = 0.5;
-  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(options, 0), 0.1);
-  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(options, 1), 0.2);
-  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(options, 2), 0.4);
-  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(options, 3), 0.5);  // capped
-  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(options, 9), 0.5);
+  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(0.1, 0.5, 0), 0.1);
+  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(0.1, 0.5, 1), 0.2);
+  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(0.1, 0.5, 2), 0.4);
+  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(0.1, 0.5, 3), 0.5);  // capped
+  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(0.1, 0.5, 9), 0.5);
+  // The fleet's schedule (50 ms doubling to 2 s) and an attempt count far
+  // past double's exponent range, which must saturate, not overflow.
+  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(0.05, 2.0, 5), 1.6);
+  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(0.05, 2.0, 6), 2.0);
+  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(0.05, 2.0, 5000), 2.0);
 }
 
 TEST(Supervisor, CleanFleetCommitsEverythingWithoutRetries) {

@@ -22,6 +22,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,6 +36,8 @@
 #include "sched/batch.h"
 #include "sched/schedulers.h"
 #include "svc/server.h"
+#include "tests/json_mutate.h"
+#include "util/check.h"
 #include "util/net.h"
 
 namespace cil::svc {
@@ -454,6 +457,129 @@ TEST(SvcTest, HuntThenReplayRoundTrip) {
   EXPECT_TRUE(saw_trace);  // stream_events=true streamed the replay
   EXPECT_TRUE(replay_result.at("replay").at("matches").as_bool());
   c.read_until("done");
+}
+
+TEST(SvcTest, ForeignAblationIsAnErrorFrame) {
+  TestServer server;
+  Client c(server.port());
+  c.expect_hello();
+
+  // Figure 1 has no blocker guard: a hunt naming §6's ablation (or a typo)
+  // for "two" is refused, not run as plain Figure 1 under a false label.
+  for (const std::string ablation : {"no-guard", "typo"}) {
+    Json hunt = Json::object();
+    hunt["job"] = Json("cilcoord.job.v1");
+    hunt["kind"] = Json("hunt");
+    hunt["id"] = Json("h-" + ablation);
+    hunt["protocol"] = Json("two");
+    hunt["ablation"] = Json(ablation);
+    hunt["budget"] = Json(5.0);
+    c.send_line(hunt.dump());
+    const Json err = c.read_frame();
+    ASSERT_TRUE(err.is_object()) << ablation;
+    EXPECT_EQ(err.at("event").as_string(), "error") << ablation;
+    EXPECT_NE(err.at("what").as_string().find(ablation), std::string::npos);
+  }
+
+  // A replayed artifact re-labelled with a foreign ablation fails the job.
+  Json hunt = Json::object();
+  hunt["job"] = Json("cilcoord.job.v1");
+  hunt["kind"] = Json("hunt");
+  hunt["id"] = Json("h");
+  hunt["protocol"] = Json("unbounded");
+  hunt["ablation"] = Json("literal-cond2");
+  hunt["search"] = Json("uniform");
+  hunt["budget"] = Json(5.0);
+  c.send_line(hunt.dump());
+  Json plan = c.read_until("result").at("worst_plan");
+  c.read_until("done");
+  plan["ablation"] = Json("no-guard");
+  Json replay = Json::object();
+  replay["job"] = Json("cilcoord.job.v1");
+  replay["kind"] = Json("replay");
+  replay["id"] = Json("r");
+  replay["worst_plan"] = plan;
+  c.send_line(replay.dump());
+  const Json err = c.read_until("error");
+  EXPECT_EQ(err.at("id").as_string(), "r");
+  EXPECT_NE(err.at("what").as_string().find("no-guard"), std::string::npos);
+  c.read_until("done");
+}
+
+// -- the job.v1 decoder under mutation ---------------------------------------
+//
+// Every request line a daemon reads is untrusted. Start from valid sweep,
+// hunt, replay and ping documents (some at their caps), mutate them with
+// the shared JSON mutator plus the decoder's own vocabulary, and require
+// that each mutant either throws ContractViolation or decodes to a spec
+// whose encoding round-trips exactly through text.
+TEST(JobSpecFuzz, MutantsRoundTripOrThrowContractViolation) {
+  std::vector<Json> seeds;
+  seeds.push_back(Json::parse(sweep_request("s", 42, 100, 20'000, 7, 2)));
+  seeds.push_back(Json::parse(
+      R"({"job":"cilcoord.job.v1","kind":"sweep","id":"cap","protocol":"two",)"
+      R"("n":1024,"adversary":"avoid","first_seed":"18446744073709551615",)"
+      R"("seeds":10000000,"steps":10000000,"check_every":1000000,)"
+      R"("chunk":1000000,"threads":16,"fleet":true})"));
+  seeds.push_back(Json::parse(
+      R"({"job":"cilcoord.job.v1","kind":"sweep","protocol":"bounded",)"
+      R"("n":2,"first_seed":9007199254740992,"seeds":1,"steps":1,)"
+      R"("check_every":1,"chunk":0,"threads":1})"));
+  seeds.push_back(Json::parse(
+      R"({"job":"cilcoord.job.v1","kind":"hunt","id":"h","protocol":"bounded",)"
+      R"("ablation":"no-guard","search":"anneal","budget":1000000,)"
+      R"("search_seed":"7","eval_steps":1000000,"horizon":65536,)"
+      R"("recovery":true,"reg_faults":false})"));
+  seeds.push_back(Json::parse(
+      R"({"job":"cilcoord.job.v1","kind":"hunt","protocol":"unbounded","n":5,)"
+      R"("ablation":"literal-cond2","search":"evo","budget":1,"horizon":1})"));
+  seeds.push_back(Json::parse(
+      R"({"job":"cilcoord.job.v1","kind":"replay","id":"r","stream_events":)"
+      R"(true,"worst_plan":{"artifact":"cilcoord.worst_plan.v1",)"
+      R"("protocol":"two","ablation":"warm-recovery","num_processes":2,)"
+      R"("inputs":[0,1],"plan":"fp1;seed=3;crash=0@2","fitness":0.5}})"));
+  seeds.push_back(
+      Json::parse(R"({"job":"cilcoord.job.v1","kind":"ping","id":"p"})"));
+  const std::vector<std::string> vocabulary = {
+      "cilcoord.job.v1", "sweep", "hunt", "replay", "ping", "two", "one-bit",
+      "unbounded", "swsr", "bounded", "random", "avoid", "rr",
+      "warm-recovery", "literal-cond2", "naive-unanimity", "no-guard",
+      "uniform", "anneal", "evo"};
+
+  std::mt19937_64 gen(20261017);
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 6000; ++trial) {
+    Json doc = seeds[static_cast<std::size_t>(trial) % seeds.size()];
+    const int rounds = 1 + static_cast<int>(gen() % 3);
+    for (int r = 0; r < rounds; ++r) {
+      std::size_t index = 0;
+      const std::size_t target = gen() % testing_json::count_nodes(doc);
+      auto f = [&](const Json& node) {
+        return testing_json::mutate_node(node, gen, vocabulary);
+      };
+      doc = testing_json::rebuild(doc, index, target, f);
+    }
+    std::string text = doc.dump();
+    if (gen() % 8 == 0) text.resize(gen() % (text.size() + 1));  // truncate
+    if (gen() % 8 == 0 && !text.empty())
+      text[gen() % text.size()] = static_cast<char>(gen() % 128);  // flip
+    try {
+      const JobSpec got = job_spec_from_json(Json::parse(text));
+      const std::string once = job_spec_to_json(got).dump();
+      const JobSpec again = job_spec_from_json(Json::parse(once));
+      ASSERT_EQ(job_spec_to_json(again).dump(), once) << text;
+      ++accepted;
+    } catch (const ContractViolation&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      FAIL() << "non-contract exception " << e.what() << " on " << text;
+    }
+  }
+  // The mutations reach both outcomes: this is not a test of the parser's
+  // first byte alone.
+  EXPECT_GT(accepted, 500);
+  EXPECT_GT(rejected, 1000);
 }
 
 TEST(SvcTest, ManyConcurrentSessions) {

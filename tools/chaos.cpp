@@ -36,8 +36,7 @@
 #include <string>
 #include <vector>
 
-#include "core/bounded_three.h"
-#include "core/two_process.h"
+#include "core/registry.h"
 #include "core/unbounded.h"
 #include "fault/fault_plan.h"
 #include "fault/sim_faults.h"
@@ -87,13 +86,13 @@ struct ProtocolCase {
   std::vector<Value> inputs;
 };
 
-std::vector<ProtocolCase> make_protocols() {
+std::vector<ProtocolCase> protocol_cases() {
   std::vector<ProtocolCase> out;
-  out.push_back({"two-process", std::make_unique<TwoProcessProtocol>(), {0, 1}});
+  out.push_back({"two-process", registry::make_protocol("two", 2), {0, 1}});
   out.push_back(
-      {"unbounded-3", std::make_unique<UnboundedProtocol>(3), {0, 1, 1}});
+      {"unbounded-3", registry::make_protocol("unbounded", 3), {0, 1, 1}});
   out.push_back(
-      {"bounded-3", std::make_unique<BoundedThreeProtocol>(), {1, 0, 1}});
+      {"bounded-3", registry::make_protocol("bounded", 3), {1, 0, 1}});
   return out;
 }
 
@@ -417,7 +416,7 @@ int main(int argc, char** argv) {
   int unexpected_bad = 0;
   obs::MetricsRegistry registry;
   obs::Json cells = obs::Json::array();
-  const auto protocols = make_protocols();
+  const auto protocols = protocol_cases();
   const auto levels = make_levels();
 
   for (const auto& pc : protocols) {

@@ -28,7 +28,7 @@
 //   --seeds=<count>        (default 2000)
 //   --steps=<budget>       (default 500000)
 //   --drain                (adversary phase then round-robin completion)
-//   --ablation=literal-cond2|naive-unanimity|no-guard|warm-recovery
+//   --ablation=<a planted bug of --protocol; see core/registry.h>
 // Flags (search):
 //   --search=uniform|anneal|evo   --budget=<evals>     --search-seed=<s>
 //   --eval-steps=<per-run cap>    --horizon=<crash window>
@@ -41,10 +41,7 @@
 #include <string>
 
 #include "core/bounded_three.h"
-#include "core/multivalued.h"
-#include "core/naive.h"
-#include "core/swsr_unbounded.h"
-#include "core/two_process.h"
+#include "core/registry.h"
 #include "core/unbounded.h"
 #include "msg/ben_or.h"
 #include "obs/export.h"
@@ -56,6 +53,7 @@
 #include "search/genome.h"
 #include "search/optimize.h"
 #include "tools/cli_util.h"
+#include "util/check.h"
 
 using namespace cil;
 
@@ -114,40 +112,6 @@ bool parse(int argc, char** argv, Args& args) {
   return flags.finish();
 }
 
-std::unique_ptr<Protocol> make_protocol(const Args& args) {
-  if (args.protocol == "two") {
-    TwoProcessProtocol::Options o;
-    o.buggy_warm_recovery = (args.ablation == "warm-recovery");
-    o.warm_lease_steps = args.warm_lease;
-    return std::make_unique<TwoProcessProtocol>(1, o);
-  }
-  if (args.protocol == "one-bit") {
-    TwoProcessProtocol::Options o;
-    o.preinitialized_registers = true;
-    auto p = std::make_unique<TwoProcessProtocol>(1, o);
-    p->preset_inputs(0, 1);
-    return p;
-  }
-  if (args.protocol == "unbounded") {
-    UnboundedProtocol::Options o;
-    o.literal_condition2 = (args.ablation == "literal-cond2");
-    return std::make_unique<UnboundedProtocol>(args.n, 1, o);
-  }
-  if (args.protocol == "swsr")
-    return std::make_unique<SwsrUnboundedProtocol>(args.n);
-  if (args.protocol == "bounded") {
-    BoundedThreeProtocol::Options o;
-    o.naive_unanimity = (args.ablation == "naive-unanimity");
-    o.no_blocker_guard = (args.ablation == "no-guard");
-    return std::make_unique<BoundedThreeProtocol>(o);
-  }
-  if (args.protocol == "naive")
-    return std::make_unique<NaiveConsensusProtocol>(args.n);
-  if (args.protocol == "multivalued")
-    return std::make_unique<MultiValuedProtocol>(args.n, 15);
-  return nullptr;
-}
-
 /// Everything a search/replay needs, with lifetimes tied together: the
 /// evaluator borrows the protocol it closes over.
 struct EvalBundle {
@@ -185,11 +149,8 @@ bool make_eval_bundle(const Args& args, obs::EventSink* extra_sink,
     out.space.allow_message_faults = true;
   } else {
     out.substrate = "sim";
-    out.protocol = make_protocol(args);
-    if (!out.protocol) {
-      std::fprintf(stderr, "unknown protocol: %s\n", args.protocol.c_str());
-      return false;
-    }
+    out.protocol = registry::make_protocol(args.protocol, args.n,
+                                           args.ablation, args.warm_lease);
     const int n = out.protocol->num_processes();
     out.inputs = inputs_override;
     for (int i = static_cast<int>(out.inputs.size()); i < n; ++i)
@@ -327,11 +288,8 @@ int run_classic(const Args& args) {
   std::int64_t violations = 0, undecided = 0;
   for (std::uint64_t seed = 0; seed < static_cast<std::uint64_t>(args.seeds);
        ++seed) {
-    const auto protocol = make_protocol(args);
-    if (!protocol) {
-      std::fprintf(stderr, "unknown protocol: %s\n", args.protocol.c_str());
-      return 2;
-    }
+    const auto protocol = registry::make_protocol(
+        args.protocol, args.n, args.ablation, args.warm_lease);
     std::vector<Value> inputs;
     for (int i = 0; i < protocol->num_processes(); ++i)
       inputs.push_back(static_cast<Value>((seed >> i) & 1));
@@ -416,7 +374,14 @@ int run_classic(const Args& args) {
 int main(int argc, char** argv) {
   Args args;
   if (!parse(argc, argv, args)) return 2;
-  if (!args.replay.empty()) return run_replay(args);
-  if (!args.search.empty()) return run_search(args);
-  return run_classic(args);
+  try {
+    if (!args.replay.empty()) return run_replay(args);
+    if (args.protocol == "ben-or" && !args.ablation.empty())
+      throw ContractViolation("ben-or has no ablations");
+    if (!args.search.empty()) return run_search(args);
+    return run_classic(args);
+  } catch (const ContractViolation& e) {
+    std::fprintf(stderr, "hunt: %s\n", e.what());
+    return 2;
+  }
 }

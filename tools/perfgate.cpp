@@ -25,11 +25,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/export.h"
 #include "obs/json.h"
 #include "tools/cli_util.h"
 
@@ -48,15 +47,13 @@ int usage() {
 }
 
 bool load_json(const std::string& path, obs::Json& out) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
+  std::string text;
+  if (!obs::read_text_file(path, text)) {
     std::fprintf(stderr, "perfgate: cannot open %s\n", path.c_str());
     return false;
   }
-  std::ostringstream buf;
-  buf << is.rdbuf();
   try {
-    out = obs::Json::parse(buf.str());
+    out = obs::Json::parse(text);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "perfgate: %s: %s\n", path.c_str(), e.what());
     return false;

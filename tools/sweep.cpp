@@ -21,7 +21,7 @@
 //
 // Flags:
 //   --protocol=two|unbounded|bounded   --n=<procs>   (unbounded only)
-//   --adversary=random|avoid
+//   --adversary=random|avoid  (names resolved by core/registry.h)
 //   --engine=scalar|lane    per-worker execution engine (default scalar);
 //                           lane runs --lanes seeds in lockstep per thread
 //                           (sched/lane_engine) — summaries and artifacts
@@ -66,18 +66,14 @@
 #include <unistd.h>
 #endif
 
-#include "core/bounded_three.h"
-#include "core/two_process.h"
-#include "core/unbounded.h"
+#include "core/registry.h"
 #include "fabric/checkpoint.h"
 #include "fabric/summary.h"
 #include "fabric/supervisor.h"
 #include "fault/fault_plan.h"
 #include "obs/export.h"
-#include "sched/adversary.h"
 #include "sched/batch.h"
 #include "sched/lane_engine.h"
-#include "sched/schedulers.h"
 #include "tools/cli_util.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -166,41 +162,32 @@ bool ensure_out_dir(const std::string& out) {
   return std::filesystem::is_directory(parent);
 }
 
-std::unique_ptr<Protocol> make_protocol(const Args& args) {
-  if (args.protocol == "two") return std::make_unique<TwoProcessProtocol>(1);
-  if (args.protocol == "unbounded")
-    return std::make_unique<UnboundedProtocol>(args.n, 1);
-  if (args.protocol == "bounded")
-    return std::make_unique<BoundedThreeProtocol>();
-  return nullptr;
-}
-
-SchedulerFactory make_factory(const Args& args) {
-  if (args.adversary == "random") {
-    return [] {
-      auto s = std::make_shared<RandomScheduler>(0);
-      return [s](std::uint64_t seed) -> Scheduler& {
-        s->reseed(seed ^ 0x1234);
-        return *s;
-      };
-    };
+/// What every shard of one sweep shares, resolved once from the flags
+/// through the run registry (which rejects unknown names).
+struct Sweep {
+  explicit Sweep(const Args& args)
+      : protocol(registry::make_protocol(args.protocol, args.n)),
+        inputs(registry::sweep_inputs(protocol->num_processes())),
+        sched(registry::sched_spec(args.adversary)) {
+    registry::check_sweep_protocol(args.protocol);
+    if (args.fault_plan.empty()) return;
+    plan = fault::FaultPlan::parse(args.fault_plan);
+    plan->validate(protocol->num_processes());
   }
-  if (args.adversary == "avoid") {
-    return [] {
-      auto s = std::make_shared<DecisionAvoidingAdversary>(0);
-      return [s](std::uint64_t seed) -> Scheduler& {
-        s->reseed(seed + 17);
-        return *s;
-      };
-    };
-  }
-  return nullptr;
-}
 
-fabric::SweepConfig make_config(const Args& args, std::int64_t shard_size) {
+  const fault::FaultPlan* plan_ptr() const { return plan ? &*plan : nullptr; }
+
+  std::unique_ptr<Protocol> protocol;
+  std::vector<Value> inputs;
+  LaneSchedSpec sched;
+  std::optional<fault::FaultPlan> plan;
+};
+
+fabric::SweepConfig make_config(const Args& args, const Sweep& sweep,
+                                std::int64_t shard_size) {
   fabric::SweepConfig config;
   config.protocol = args.protocol;
-  config.num_processes = args.n;
+  config.num_processes = sweep.protocol->num_processes();
   config.scheduler = args.adversary;
   config.range = {args.first_seed, args.seeds};
   config.shard_size = shard_size;
@@ -210,64 +197,39 @@ fabric::SweepConfig make_config(const Args& args, std::int64_t shard_size) {
   return config;
 }
 
-/// Parse + validate --fault-plan, or leave `plan` empty when the flag is.
-/// Throws (caught in main, exit 2) on a malformed spec.
-void parse_plan(const Args& args, const Protocol& protocol,
-                std::optional<fault::FaultPlan>& plan) {
-  if (args.fault_plan.empty()) return;
-  plan = fault::FaultPlan::parse(args.fault_plan);
-  plan->validate(protocol.num_processes());
-}
-
-std::vector<Value> sweep_inputs(const Protocol& protocol) {
-  std::vector<Value> inputs;
-  for (int i = 0; i < protocol.num_processes(); ++i)
-    inputs.push_back(static_cast<Value>(i & 1));
-  return inputs;
-}
-
-LaneSchedSpec lane_sched_spec(const Args& args) {
-  return args.adversary == "random"
-             ? LaneSchedSpec{LaneSchedSpec::Kind::kRandom, 0x1234, 0}
-             : LaneSchedSpec{LaneSchedSpec::Kind::kAvoid, 0, 17};
-}
-
-BatchSummary run_shard(const Args& args, const Protocol& protocol,
-                       const fault::FaultPlan* plan, const SeedRange& range,
-                       const RunHook& hook) {
-  BatchRunner runner(protocol, sweep_inputs(protocol));
+BatchSummary run_shard(const Args& args, const Sweep& sweep,
+                       const SeedRange& range, const RunHook& hook) {
+  BatchRunner runner(*sweep.protocol, sweep.inputs);
   BatchOptions bo;
   bo.first_seed = range.first_seed;
   bo.num_runs = range.num_runs;
   bo.threads = args.threads;
   bo.max_total_steps = args.steps;
   bo.check_every = args.check_every;
-  bo.fault_plan = plan;
+  bo.fault_plan = sweep.plan_ptr();
+  // Both engines arm each run's scheduler from the same spec, so lane
+  // artifacts verify cleanly against scalar ones and vice versa.
+  bo.lane_sched = sweep.sched;
   if (args.engine == "lane") {
-    // Same seed derivations as make_factory, expressed as a LaneSchedSpec;
-    // the summary stays bit-identical (pinned by batch_test), so lane
-    // artifacts verify cleanly against scalar ones and vice versa.
     bo.engine = BatchEngine::kLane;
     bo.lanes = args.lanes;
-    bo.lane_sched = lane_sched_spec(args);
   }
-  return runner.run(bo, make_factory(args), nullptr, hook);
+  return runner.run(bo, nullptr, nullptr, hook);
 }
 
 /// The SIMD width this sweep's lane kernels run at on this host — what the
 /// artifact records, so --verify-against can flag a cross-width comparison.
 /// 1 for engine=scalar and for configurations the lane engine serves
 /// through its scalar fallback.
-int sweep_simd_width(const Args& args, const Protocol& protocol,
-                     const fault::FaultPlan* plan) {
+int sweep_simd_width(const Args& args, const Sweep& sweep) {
   if (args.engine != "lane") return 1;
-  LaneEngine probe(protocol, sweep_inputs(protocol));
+  LaneEngine probe(*sweep.protocol, sweep.inputs);
   LaneRunOptions lo;
   lo.lanes = args.lanes;
   lo.max_total_steps = args.steps;
   lo.check_every = args.check_every;
-  lo.sched = lane_sched_spec(args);
-  lo.fault_plan = plan;
+  lo.sched = sweep.sched;
+  lo.fault_plan = sweep.plan_ptr();
   return probe.selected_simd_width(lo);
 }
 
@@ -341,17 +303,10 @@ void print_summary(const BatchSummary& s) {
 int verify_against(const Args& args, const fabric::ShardSummary& ours,
                    int our_simd_width) {
   std::string text;
-  {
-    std::FILE* f = std::fopen(args.verify_against.c_str(), "rb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "sweep: cannot read %s\n",
-                   args.verify_against.c_str());
-      return 2;
-    }
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-    std::fclose(f);
+  if (!obs::read_text_file(args.verify_against, text)) {
+    std::fprintf(stderr, "sweep: cannot read %s\n",
+                 args.verify_against.c_str());
+    return 2;
   }
   const obs::Json doc = obs::Json::parse(text);
   const fabric::ShardSummary theirs = fabric::shard_summary_from_json(doc);
@@ -390,29 +345,15 @@ int verify_against(const Args& args, const fabric::ShardSummary& ours,
   return 0;
 }
 
-int run_serial(const Args& args) {
-  const auto protocol = make_protocol(args);
-  if (!protocol) {
-    std::fprintf(stderr, "sweep: unknown protocol %s\n", args.protocol.c_str());
-    return 2;
-  }
-  if (make_factory(args) == nullptr) {
-    std::fprintf(stderr, "sweep: unknown adversary %s\n",
-                 args.adversary.c_str());
-    return 2;
-  }
-  std::optional<fault::FaultPlan> plan;
-  parse_plan(args, *protocol, plan);
-  const fault::FaultPlan* plan_ptr = plan ? &*plan : nullptr;
-
+int run_serial(const Args& args, const Sweep& sweep) {
   fabric::ShardSummary whole;
   whole.range = {args.first_seed, args.seeds};
-  whole.summary = run_shard(args, *protocol, plan_ptr, whole.range, nullptr);
+  whole.summary = run_shard(args, sweep, whole.range, nullptr);
 
   fabric::SweepSummary merged;
   merged.add(whole);
   const fabric::SweepConfig config =
-      make_config(args, std::max<std::int64_t>(args.seeds, 1));
+      make_config(args, sweep, std::max<std::int64_t>(args.seeds, 1));
   if (!ensure_out_dir(args.out) ||
       !obs::write_text_file_atomic(
           args.out, sweep_artifact_json(config, merged, nullptr, 1,
@@ -427,27 +368,13 @@ int run_serial(const Args& args) {
   return 0;
 }
 
-int run_fleet(const Args& args) {
-  const auto protocol = make_protocol(args);
-  if (!protocol) {
-    std::fprintf(stderr, "sweep: unknown protocol %s\n", args.protocol.c_str());
-    return 2;
-  }
-  if (make_factory(args) == nullptr) {
-    std::fprintf(stderr, "sweep: unknown adversary %s\n",
-                 args.adversary.c_str());
-    return 2;
-  }
-  std::optional<fault::FaultPlan> plan;
-  parse_plan(args, *protocol, plan);
-  const fault::FaultPlan* plan_ptr = plan ? &*plan : nullptr;
-
+int run_fleet(const Args& args, const Sweep& sweep) {
   const std::int64_t shard_size =
       args.shard_size > 0
           ? args.shard_size
           : std::max<std::int64_t>(
                 1, args.seeds / (4 * static_cast<std::int64_t>(args.workers)));
-  const fabric::SweepConfig config = make_config(args, shard_size);
+  const fabric::SweepConfig config = make_config(args, sweep, shard_size);
 
   fabric::CheckpointStore store(args.checkpoint);
   const std::vector<int> done = store.open(config);
@@ -485,8 +412,7 @@ int run_fleet(const Args& args) {
       }
     }
 #endif
-    const BatchSummary summary =
-        run_shard(args, *protocol, plan_ptr, task.range, hook);
+    const BatchSummary summary = run_shard(args, sweep, task.range, hook);
     return store.write_shard(task.index, {task.range, summary}) ? 0 : 4;
   };
 
@@ -497,7 +423,7 @@ int run_fleet(const Args& args) {
   // Shard summaries do not record the SIMD width, so the driver recomputes
   // the width its workers ran at: same binary, same protocol, same options
   // — the probe resolves identically in-process.
-  const int simd_width = sweep_simd_width(args, *protocol, plan_ptr);
+  const int simd_width = sweep_simd_width(args, sweep);
   if (!ensure_out_dir(args.out) ||
       !obs::write_text_file_atomic(
           args.out, sweep_artifact_json(config, merged, &outcome,
@@ -531,7 +457,8 @@ int main(int argc, char** argv) {
   Args args;
   if (!parse(argc, argv, args)) return 2;
   try {
-    return args.serial ? run_serial(args) : run_fleet(args);
+    const Sweep sweep(args);
+    return args.serial ? run_serial(args, sweep) : run_fleet(args, sweep);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "sweep: %s\n", e.what());
     return 2;

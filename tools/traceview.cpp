@@ -43,14 +43,11 @@ int usage() {
 /// otherwise. Empty files and empty lines are rejected loudly — an empty
 /// artifact means the producer silently failed.
 bool check_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
+  std::string body;
+  if (!obs::read_text_file(path, body)) {
     std::fprintf(stderr, "traceview: cannot open %s\n", path.c_str());
     return false;
   }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  const std::string body = buf.str();
   if (body.find_first_not_of(" \t\r\n") == std::string::npos) {
     std::fprintf(stderr, "traceview: %s is empty\n", path.c_str());
     return false;
