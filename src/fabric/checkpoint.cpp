@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include "obs/export.h"
@@ -11,6 +12,18 @@
 namespace cil::fabric {
 
 using obs::Json;
+
+namespace {
+
+/// A manifest integer stored as an int: range-checked before the cast.
+int to_int(const Json& j, const char* what) {
+  const std::int64_t v = j.as_int();
+  CIL_CHECK_MSG(v >= 0 && v <= std::numeric_limits<int>::max(),
+                std::string("sweep_manifest: ") + what + " out of range");
+  return static_cast<int>(v);
+}
+
+}  // namespace
 
 Json sweep_config_to_json(const SweepConfig& config) {
   Json j = Json::object();
@@ -31,15 +44,38 @@ Json sweep_config_to_json(const SweepConfig& config) {
 SweepConfig sweep_config_from_json(const Json& j) {
   SweepConfig c;
   c.protocol = j.at("protocol").as_string();
-  c.num_processes = static_cast<int>(j.at("num_processes").as_int());
+  c.num_processes = to_int(j.at("num_processes"), "num_processes");
   c.scheduler = j.at("scheduler").as_string();
-  c.range.first_seed = std::stoull(j.at("first_seed").as_string());
+  c.range.first_seed = parse_seed(j.at("first_seed").as_string(),
+                                  "sweep_manifest: first_seed");
   c.range.num_runs = j.at("num_runs").as_int();
   c.shard_size = j.at("shard_size").as_int();
   c.max_total_steps = j.at("max_total_steps").as_int();
   c.check_every = j.at("check_every").as_int();
   if (const Json* v = j.find("fault_plan")) c.fault_plan = v->as_string();
   return c;
+}
+
+Json manifest_to_json(const Manifest& manifest) {
+  Json doc = Json::object();
+  doc["artifact"] = Json(kManifestArtifactName);
+  doc["config"] = sweep_config_to_json(manifest.config);
+  Json completed = Json::array();
+  for (const int i : manifest.completed) completed.push_back(Json(i));
+  doc["completed"] = std::move(completed);
+  return doc;
+}
+
+Manifest manifest_from_json(const Json& doc) {
+  const Json* tag = doc.find("artifact");
+  CIL_CHECK_MSG(tag != nullptr && tag->is_string() &&
+                    tag->as_string() == kManifestArtifactName,
+                std::string("not a ") + kManifestArtifactName + " document");
+  Manifest m;
+  m.config = sweep_config_from_json(doc.at("config"));
+  for (const Json& idx : doc.at("completed").as_array())
+    m.completed.push_back(to_int(idx, "completed shard index"));
+  return m;
 }
 
 CheckpointStore::CheckpointStore(std::string dir) : dir_(std::move(dir)) {
@@ -81,22 +117,15 @@ std::vector<int> CheckpointStore::open(const SweepConfig& config) {
 
   std::string text;
   if (obs::read_text_file(manifest_path(), text)) {
-    const Json doc = Json::parse(text);
-    CIL_CHECK_MSG(doc.is_object() && doc.find("artifact") != nullptr &&
-                      doc.at("artifact").as_string() == kManifestArtifactName,
-                  "CheckpointStore: " + manifest_path() +
-                      " is not a cilcoord.sweep_manifest.v1 artifact");
-    const SweepConfig stored = sweep_config_from_json(doc.at("config"));
-    CIL_CHECK_MSG(stored == config_,
+    const Manifest stored = manifest_from_json(Json::parse(text));
+    CIL_CHECK_MSG(stored.config == config_,
                   "CheckpointStore: " + dir_ +
                       " holds a checkpoint for a different sweep config; "
                       "refusing to resume (use a fresh directory)");
-    for (const Json& idx : doc.at("completed").as_array()) {
-      const int i = static_cast<int>(idx.as_int());
-      CIL_CHECK_MSG(i >= 0 && i < num_shards(),
+    completed_ = stored.completed;
+    for (const int i : completed_)
+      CIL_CHECK_MSG(i < num_shards(),
                     "CheckpointStore: manifest lists shard index out of range");
-      completed_.push_back(i);
-    }
     std::sort(completed_.begin(), completed_.end());
     completed_.erase(std::unique(completed_.begin(), completed_.end()),
                      completed_.end());
@@ -176,13 +205,9 @@ SweepSummary CheckpointStore::merged() const {
 }
 
 void CheckpointStore::write_manifest() const {
-  Json doc = Json::object();
-  doc["artifact"] = Json(kManifestArtifactName);
-  doc["config"] = sweep_config_to_json(config_);
-  Json completed = Json::array();
-  for (const int i : completed_) completed.push_back(Json(i));
-  doc["completed"] = std::move(completed);
-  CIL_CHECK_MSG(obs::write_text_file_atomic(manifest_path(), doc.dump() + "\n"),
+  const std::string text =
+      manifest_to_json({config_, completed_}).dump() + "\n";
+  CIL_CHECK_MSG(obs::write_text_file_atomic(manifest_path(), text),
                 "CheckpointStore: cannot write " + manifest_path());
 }
 

@@ -62,7 +62,20 @@ struct SweepConfig {
 };
 
 obs::Json sweep_config_to_json(const SweepConfig& config);
+/// Throws ContractViolation on missing or mistyped fields, a first_seed
+/// that is not a decimal uint64, or a num_processes outside int.
 SweepConfig sweep_config_from_json(const obs::Json& j);
+
+/// A decoded cilcoord.sweep_manifest.v1 document.
+struct Manifest {
+  SweepConfig config;
+  std::vector<int> completed;  ///< committed shard indexes, as listed
+};
+
+obs::Json manifest_to_json(const Manifest& manifest);
+/// Throws ContractViolation on a wrong artifact tag, a malformed config, or
+/// a completed index that is not a non-negative int.
+Manifest manifest_from_json(const obs::Json& doc);
 
 class CheckpointStore {
  public:

@@ -68,7 +68,8 @@ T parse_decimal(const std::string& s, const char* what) {
   const char* end = s.data() + s.size();
   const auto [ptr, ec] = std::from_chars(s.data(), end, out);
   if (s.empty() || ec != std::errc() || ptr != end)
-    reject(std::string(what) + " is not a decimal integer in range");
+    throw ContractViolation(std::string(what) +
+                            " is not a decimal integer in range");
   return out;
 }
 
@@ -94,6 +95,10 @@ std::int64_t non_negative(const Json& j, const char* name) {
 }
 
 }  // namespace
+
+std::uint64_t parse_seed(const std::string& s, const char* what) {
+  return parse_decimal<std::uint64_t>(s, what);
+}
 
 Json shard_summary_to_json(const ShardSummary& shard) {
   const BatchSummary& s = shard.summary;
@@ -132,8 +137,8 @@ ShardSummary shard_summary_from_json(const Json& doc) {
       tag->as_string() != kBatchSummaryArtifactName)
     reject(std::string("not a ") + kBatchSummaryArtifactName + " document");
   ShardSummary out;
-  out.range.first_seed = parse_decimal<std::uint64_t>(
-      doc.at("first_seed").as_string(), "first_seed");
+  out.range.first_seed = parse_seed(doc.at("first_seed").as_string(),
+                                    "batch_summary artifact: first_seed");
   out.range.num_runs = non_negative(doc.at("num_runs"), "num_runs");
 
   BatchSummary& s = out.summary;
@@ -142,7 +147,8 @@ ShardSummary shard_summary_from_json(const Json& doc) {
   if (s.decided_runs > s.num_runs) reject("decided_runs exceeds num_runs");
   std::int64_t deciding = 0;
   for (const auto& [key, count] : doc.at("decision_counts").as_object()) {
-    const Value value = parse_decimal<Value>(key, "decision key");
+    const Value value =
+        parse_decimal<Value>(key, "batch_summary artifact: decision key");
     if (value == kNoValue || std::to_string(value) != key)
       reject("decision key '" + key + "' is not a canonical decision value");
     const std::int64_t c = count.as_int();

@@ -46,6 +46,11 @@ struct ShardSummary {
   BatchSummary summary;
 };
 
+/// Decode a 64-bit seed from its decimal-string form (the convention of
+/// every fabric artifact): digits only — no sign, no trailing bytes — and
+/// in range. Throws ContractViolation naming `what` otherwise.
+std::uint64_t parse_seed(const std::string& s, const char* what);
+
 /// Serialize one shard summary as a cilcoord.batch_summary.v2 document.
 /// Seeds are 64-bit and JSON numbers are doubles, so first_seed travels as
 /// a decimal string (same convention as search artifacts' sched_seed), and

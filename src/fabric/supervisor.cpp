@@ -1,10 +1,7 @@
 #include "fabric/supervisor.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <thread>
 
@@ -19,33 +16,24 @@
 
 namespace cil::fabric {
 
-double backoff_seconds(double initial_seconds, double max_seconds,
-                       int attempt) {
-  return std::min(max_seconds, std::ldexp(initial_seconds, attempt));
+namespace {
+
+using Clock = ShardLedger::Clock;
+
+constexpr double kBackoffMaxSeconds = 5.0;
+
+/// The shard body's exit code: the worker's return value, or 71 if it
+/// threw.
+int run_worker(const ShardWorker& worker, const ShardLease& lease) {
+  try {
+    return worker(lease.task, lease.attempt);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "fabric: shard %d attempt %d threw: %s\n",
+                 lease.task.index, lease.attempt, e.what());
+  } catch (...) {
+  }
+  return 71;
 }
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-struct Pending {
-  ShardTask task;
-  int attempt = 0;
-  Clock::time_point ready_at;  ///< backoff gate; immediate on first try
-};
-
-}  // namespace
-
-#ifndef _WIN32
-
-namespace {
-
-struct Running {
-  ShardTask task;
-  int attempt = 0;
-  Clock::time_point deadline;  ///< time_point::max() when no timeout
-  bool timed_out = false;      ///< SIGKILL sent; awaiting the reap
-};
 
 }  // namespace
 
@@ -56,107 +44,69 @@ SweepOutcome run_supervised(const std::vector<ShardTask>& tasks,
   CIL_EXPECTS(options.workers >= 1);
   CIL_EXPECTS(worker != nullptr);
 
-  SweepOutcome out;
-  out.shards.resize(tasks.size());
-  std::map<int, std::size_t> slot_of_index;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    out.shards[i].index = tasks[i].index;
-    slot_of_index[tasks[i].index] = i;
-  }
+  ShardLedger ledger(tasks, store.completed(), options.retry_budget,
+                     options.backoff_initial_seconds, kBackoffMaxSeconds);
 
-  std::deque<Pending> pending;
-  for (const ShardTask& task : tasks) {
-    if (store.is_complete(task.index)) {
-      ShardOutcome& so = out.shards[slot_of_index[task.index]];
-      so.completed = true;
-      so.resumed = true;
+  // Commit a finished attempt (error "" = the worker reported success),
+  // or hand its failure to the ledger.
+  const auto settle = [&](const ShardLease& lease, std::string error) {
+    const int index = lease.task.index;
+    if (error.empty() && !store.commit_shard(index))
+      error = "shard file invalid";  // success claimed, no valid shard file
+    if (error.empty()) {
+      ledger.succeed(index);
       if (options.verbose)
-        std::fprintf(stderr, "fabric: shard %d resumed from checkpoint\n",
-                     task.index);
-      continue;
+        std::fprintf(stderr, "fabric: shard %d committed\n", index);
+      return;
     }
-    pending.push_back({task, 0, Clock::now()});
-  }
-
-  std::map<pid_t, Running> running;
-
-  const auto launch = [&](const Pending& p) {
-    ShardOutcome& so = out.shards[slot_of_index[p.task.index]];
-    ++so.attempts;
     if (options.verbose)
-      std::fprintf(stderr, "fabric: shard %d attempt %d launching\n",
-                   p.task.index, p.attempt);
-    std::fflush(nullptr);  // don't let children replay buffered output
-    const pid_t pid = ::fork();
-    CIL_CHECK_MSG(pid >= 0, "fabric: fork() failed");
-    if (pid == 0) {
-      // Child. Run the shard body and leave without unwinding the parent's
-      // state (no atexit handlers, no static destructors).
-      int code = 70;
-      try {
-        code = worker(p.task, p.attempt);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "fabric: shard %d attempt %d threw: %s\n",
-                     p.task.index, p.attempt, e.what());
-        code = 71;
-      } catch (...) {
-        code = 71;
-      }
-      std::fflush(nullptr);
-      ::_exit(code);
-    }
-    Running r;
-    r.task = p.task;
-    r.attempt = p.attempt;
-    r.deadline = options.shard_timeout_seconds > 0.0
-                     ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                          std::chrono::duration<double>(
-                                              options.shard_timeout_seconds))
-                     : Clock::time_point::max();
-    running.emplace(pid, r);
+      std::fprintf(stderr, "fabric: shard %d attempt %d failed (%s)\n", index,
+                   lease.attempt, error.c_str());
+    if (!ledger.fail(index, error, Clock::now()) && options.verbose)
+      std::fprintf(stderr, "fabric: shard %d retry budget exhausted\n", index);
   };
 
-  const auto fail = [&](const Running& r, const std::string& reason) {
-    ShardOutcome& so = out.shards[slot_of_index[r.task.index]];
-    so.last_error = reason;
-    if (options.verbose)
-      std::fprintf(stderr, "fabric: shard %d attempt %d failed (%s)\n",
-                   r.task.index, r.attempt, reason.c_str());
-    if (r.attempt < options.retry_budget) {
-      ++out.retries;
-      const double delay =
-          backoff_seconds(options.backoff_initial_seconds,
-                          options.backoff_max_seconds, r.attempt);
-      pending.push_back(
-          {r.task, r.attempt + 1,
-           Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(delay))});
-    } else {
-      out.incomplete_shards.push_back(r.task.index);
-      if (options.verbose)
-        std::fprintf(stderr, "fabric: shard %d retry budget exhausted\n",
-                     r.task.index);
-    }
+#ifndef _WIN32
+  // A forked worker: the lease it runs and its kill deadline.
+  struct Child {
+    ShardLease lease;
+    Clock::time_point deadline;  ///< time_point::max() when no timeout
+    bool killed = false;         ///< SIGKILLed at the deadline; not reaped
   };
+  std::map<pid_t, Child> children;
 
-  while (!pending.empty() || !running.empty()) {
+  while (!ledger.finished()) {
     // Launch everything whose backoff has elapsed, up to the worker cap.
     const Clock::time_point now = Clock::now();
-    for (auto it = pending.begin();
-         it != pending.end() &&
-         running.size() < static_cast<std::size_t>(options.workers);) {
-      if (it->ready_at <= now) {
-        launch(*it);
-        it = pending.erase(it);
-      } else {
-        ++it;
+    while (children.size() < static_cast<std::size_t>(options.workers)) {
+      const std::optional<ShardLease> lease = ledger.lease(now);
+      if (!lease) break;
+      if (options.verbose)
+        std::fprintf(stderr, "fabric: shard %d attempt %d launching\n",
+                     lease->task.index, lease->attempt);
+      std::fflush(nullptr);  // don't let children replay buffered output
+      const pid_t pid = ::fork();
+      CIL_CHECK_MSG(pid >= 0, "fabric: fork() failed");
+      if (pid == 0) {
+        // Child: leave without unwinding the parent's state (no atexit
+        // handlers, no static destructors).
+        const int code = run_worker(worker, *lease);
+        std::fflush(nullptr);
+        ::_exit(code);
       }
+      const Clock::time_point deadline =
+          options.shard_timeout_seconds > 0.0
+              ? now + std::chrono::duration_cast<Clock::duration>(
+                          std::chrono::duration<double>(
+                              options.shard_timeout_seconds))
+              : Clock::time_point::max();
+      children.emplace(pid, Child{*lease, deadline});
     }
 
     // Enforce timeouts: SIGKILL, then reap through the normal path below.
-    for (auto& [pid, r] : running) {
-      if (!r.timed_out && Clock::now() >= r.deadline) {
-        r.timed_out = true;
+    for (auto& [pid, child] : children) {
+      if (!child.killed && Clock::now() >= child.deadline) {
+        child.killed = true;
         ::kill(pid, SIGKILL);
       }
     }
@@ -165,79 +115,39 @@ SweepOutcome run_supervised(const std::vector<ShardTask>& tasks,
     int status = 0;
     const pid_t pid = ::waitpid(-1, &status, WNOHANG);
     if (pid > 0) {
-      const auto it = running.find(pid);
-      if (it != running.end()) {
-        const Running r = it->second;
-        running.erase(it);
-        if (r.timed_out) {
-          fail(r, "timeout");
-        } else if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-          if (store.commit_shard(r.task.index)) {
-            out.shards[slot_of_index[r.task.index]].completed = true;
-            if (options.verbose)
-              std::fprintf(stderr, "fabric: shard %d committed\n",
-                           r.task.index);
-          } else {
-            // Exit 0 but no valid shard file: treat as a crash.
-            fail(r, "shard file invalid");
-          }
-        } else if (WIFEXITED(status)) {
-          fail(r, "exit=" + std::to_string(WEXITSTATUS(status)));
-        } else if (WIFSIGNALED(status)) {
-          fail(r, "signal=" + std::to_string(WTERMSIG(status)));
-        } else {
-          fail(r, "unknown wait status");
-        }
+      const auto it = children.find(pid);
+      if (it != children.end()) {
+        const Child child = it->second;
+        children.erase(it);
+        if (child.killed)
+          settle(child.lease, "timeout");
+        else if (WIFEXITED(status))
+          settle(child.lease,
+                 WEXITSTATUS(status) == 0
+                     ? ""
+                     : "exit=" + std::to_string(WEXITSTATUS(status)));
+        else if (WIFSIGNALED(status))
+          settle(child.lease, "signal=" + std::to_string(WTERMSIG(status)));
+        else
+          settle(child.lease, "unknown wait status");
       }
       continue;  // drain further finished children before sleeping
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-
-  std::sort(out.incomplete_shards.begin(), out.incomplete_shards.end());
-  return out;
-}
-
-#else  // _WIN32
-
-// No fork(): run each shard in-process, serially. Checkpointing and retry
-// semantics still hold; chaos-kill and timeouts do not apply.
-SweepOutcome run_supervised(const std::vector<ShardTask>& tasks,
-                            const SupervisorOptions& options,
-                            CheckpointStore& store,
-                            const ShardWorker& worker) {
-  CIL_EXPECTS(options.workers >= 1);
-  CIL_EXPECTS(worker != nullptr);
-  SweepOutcome out;
-  out.shards.resize(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    ShardOutcome& so = out.shards[i];
-    so.index = tasks[i].index;
-    if (store.is_complete(tasks[i].index)) {
-      so.completed = so.resumed = true;
-      continue;
+#else
+  // No fork(): run each shard in-process, one at a time. Chaos-kill and
+  // timeouts do not apply.
+  while (!ledger.finished()) {
+    if (const std::optional<ShardLease> lease = ledger.lease(Clock::now())) {
+      const int code = run_worker(worker, *lease);
+      settle(*lease, code == 0 ? "" : "exit=" + std::to_string(code));
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));  // backoff
     }
-    for (int attempt = 0; attempt <= options.retry_budget; ++attempt) {
-      ++so.attempts;
-      if (attempt > 0) ++out.retries;
-      int code = 70;
-      try {
-        code = worker(tasks[i], attempt);
-      } catch (...) {
-        code = 71;
-      }
-      if (code == 0 && store.commit_shard(tasks[i].index)) {
-        so.completed = true;
-        break;
-      }
-      so.last_error = code == 0 ? "shard file invalid"
-                                : "exit=" + std::to_string(code);
-    }
-    if (!so.completed) out.incomplete_shards.push_back(tasks[i].index);
   }
-  return out;
-}
-
 #endif
+  return ledger.outcome();
+}
 
 }  // namespace cil::fabric

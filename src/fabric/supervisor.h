@@ -9,7 +9,8 @@
 //
 //   * CRASH (nonzero exit or a signal — including the fabric's own
 //     --chaos-kill-prob fault injection): the shard is requeued with
-//     exponential backoff, up to `retry_budget` retries.
+//     exponential backoff, up to `retry_budget` retries after the first
+//     try, by the ShardLedger (shard_ledger.h) the fleet dispatcher shares.
 //   * HANG (`shard_timeout_seconds` exceeded): the child is SIGKILLed and
 //     treated as a crash.
 //   * BUDGET EXHAUSTED: the shard lands in SweepOutcome::incomplete_shards
@@ -21,7 +22,7 @@
 // only the calling thread; a child could then deadlock on a lock held by a
 // thread that no longer exists). Children may spawn BatchRunner threads
 // freely — they fork before threading. Windows has no fork(); there the
-// fabric runs shards in-process, serially (still checkpointed).
+// fabric runs shards in-process, serially (still checkpointed and retried).
 #pragma once
 
 #include <functional>
@@ -29,42 +30,17 @@
 #include <vector>
 
 #include "fabric/checkpoint.h"
+#include "fabric/shard_ledger.h"
 #include "sched/batch.h"
 
 namespace cil::fabric {
-
-/// One unit of supervised work: shard `index` of the sweep, covering
-/// `range` (== store.shard_range(index)).
-struct ShardTask {
-  int index = 0;
-  SeedRange range;
-};
 
 struct SupervisorOptions {
   int workers = 2;                  ///< max concurrent child processes
   double shard_timeout_seconds = 120.0;  ///< <= 0: no timeout
   int retry_budget = 3;             ///< retries per shard after the first try
-  double backoff_initial_seconds = 0.1;  ///< doubles per retry
-  double backoff_max_seconds = 5.0;
+  double backoff_initial_seconds = 0.1;  ///< doubles per retry, up to 5 s
   bool verbose = false;             ///< per-event lines on stderr
-};
-
-/// What happened to one shard across all its attempts.
-struct ShardOutcome {
-  int index = 0;
-  int attempts = 0;      ///< launches; 0 when resumed from checkpoint
-  bool completed = false;
-  bool resumed = false;  ///< satisfied by the checkpoint, never launched
-  std::string last_error;  ///< "exit=N" | "signal=N" | "timeout" |
-                           ///< "shard file invalid" | "" on clean first try
-};
-
-struct SweepOutcome {
-  std::vector<ShardOutcome> shards;  ///< one per task, task order
-  std::int64_t retries = 0;          ///< total relaunches across all shards
-  std::vector<int> incomplete_shards;  ///< indexes that exhausted the budget
-
-  bool complete() const { return incomplete_shards.empty(); }
 };
 
 /// The shard body, run INSIDE the forked child. Must compute the shard and
@@ -75,15 +51,11 @@ struct SweepOutcome {
 /// supervisor _exit()s with the returned code immediately after.
 using ShardWorker = std::function<int(const ShardTask& task, int attempt)>;
 
-/// The retry backoff schedule, shared with the fleet's shard requeue:
-/// min(max_seconds, initial_seconds * 2^attempt).
-double backoff_seconds(double initial_seconds, double max_seconds,
-                       int attempt);
-
 /// Drive `tasks` to completion (or budget exhaustion) with at most
-/// options.workers concurrent forked children. Tasks already committed in
-/// `store` are skipped and marked resumed. Successful children's shards are
-/// validated and committed into the manifest as they are reaped, so a
+/// options.workers concurrent forked children, lowest ready index first.
+/// Tasks already committed in `store` are skipped and marked resumed.
+/// Successful children's shards are validated and committed into the
+/// manifest as they are reaped, so a
 /// SIGKILL of the SUPERVISOR itself loses at most the commit of in-flight
 /// shards — which the next open() adopts back as orphans.
 SweepOutcome run_supervised(const std::vector<ShardTask>& tasks,

@@ -5,11 +5,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <map>
+#include <optional>
 
 #include "fabric/checkpoint.h"
 #include "fabric/summary.h"
-#include "fabric/supervisor.h"
 #include "obs/json.h"
 #include "sched/batch.h"
 #include "util/check.h"
@@ -35,27 +34,26 @@ int ms_until(Clock::time_point deadline) {
 
 }  // namespace
 
-/// One data-plane work item: a contiguous seed sub-range leased to at most
-/// one worker at a time. Guarded by shard_mu_.
-struct FleetService::Shard {
-  enum class State { kPending, kInFlight, kDone };
-  int index = 0;
-  SeedRange range;
-  int attempts = 0;              ///< failed REMOTE attempts so far
-  Clock::time_point not_before;  ///< backoff gate for remote retries
-  State state = State::kPending;
-};
-
-/// Shared commit state of the one running fleet sweep. Lives on
-/// run_fleet_sweep's stack; workers reach it via sweep_frame_ under
-/// shard_mu_, and it is unpublished before the frame unwinds.
+/// The one running fleet sweep: its ledger and its merged results, guarded
+/// by shard_mu_ (spec, cancel and emit are read-only). Lives on
+/// run_fleet_sweep's stack and outlives every peer worker.
 struct FleetService::SweepFrame {
-  std::map<int, fabric::ShardSummary>* results = nullptr;
-  fabric::CheckpointStore* store = nullptr;
-  const svc::EmitFrame* emit = nullptr;
+  const svc::JobSpec& spec;
+  const std::atomic<bool>& cancel;
+  const svc::EmitFrame& emit;
+  fabric::CheckpointStore* store;
+  fabric::ShardLedger ledger;
+  fabric::SweepSummary merged{};
   std::int64_t done_runs = 0;
   std::int64_t decided = 0;
   std::int64_t total_steps = 0;
+
+  void add(const fabric::ShardSummary& shard) {
+    merged.add(shard);
+    done_runs += shard.range.num_runs;
+    decided += shard.summary.decided_runs;
+    total_steps += shard.summary.total_steps;
+  }
 };
 
 FleetService::FleetService(FleetOptions options, svc::JobLimits limits)
@@ -139,6 +137,11 @@ int FleetService::alive_count() const {
 std::int64_t FleetService::elections_run() const {
   std::lock_guard<std::mutex> lock(mu_);
   return elections_;
+}
+
+bool FleetService::decided_own_round() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return engine_ && engine_->decided() && engine_->round() == round_;
 }
 
 obs::Json FleetService::status_info() const {
@@ -619,78 +622,53 @@ void FleetService::run_fleet_sweep(const svc::JobSpec& spec,
   const SeedRange full{spec.first_seed, spec.seeds};
   const std::vector<SeedRange> ranges = shard_seed_range(full, shard_size);
 
-  std::vector<Shard> shards(ranges.size());
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    shards[i].index = static_cast<int>(i);
-    shards[i].range = ranges[i];
-    shards[i].not_before = Clock::now();
-  }
+  std::vector<fabric::ShardTask> tasks;
+  for (std::size_t i = 0; i < ranges.size(); ++i)
+    tasks.push_back({static_cast<int>(i), ranges[i]});
 
   // Optional durable progress: resume committed shards from a previous
   // frontend incarnation instead of recomputing them. A checkpoint dir
   // holding a DIFFERENT sweep's manifest disables checkpointing for this
-  // run rather than failing the sweep.
+  // run rather than failing the sweep; open() has already validated every
+  // committed shard file it returns.
   std::unique_ptr<fabric::CheckpointStore> store;
-  std::map<int, fabric::ShardSummary> results;
+  std::vector<int> committed;
   if (!options_.checkpoint_dir.empty()) {
     try {
       store =
           std::make_unique<fabric::CheckpointStore>(options_.checkpoint_dir);
-      for (const int idx : store->open(svc::sweep_config(spec, shard_size))) {
-        if (idx < 0 || idx >= static_cast<int>(shards.size())) continue;
-        results[idx] = store->load_shard(idx);
-        shards[static_cast<std::size_t>(idx)].state = Shard::State::kDone;
-      }
-      if (!results.empty())
-        note("resumed " + std::to_string(results.size()) +
-             " committed shard(s) from checkpoint");
+      committed = store->open(svc::sweep_config(spec, shard_size));
     } catch (const std::exception& e) {
       note(std::string("checkpoint dir unusable, running without: ") +
            e.what());
       store.reset();
-      results.clear();
-      for (Shard& s : shards) s.state = Shard::State::kPending;
     }
   }
-
-  SweepFrame frame;
-  frame.results = &results;
-  frame.store = store.get();
-  frame.emit = &emit;
-  for (const auto& [idx, shard] : results) {
-    frame.done_runs += shard.range.num_runs;
-    frame.decided += shard.summary.decided_runs;
-    frame.total_steps += shard.summary.total_steps;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(shard_mu_);
-    shards_ = &shards;
-    sweep_frame_ = &frame;
-  }
+  SweepFrame frame{spec, cancel, emit, store.get(),
+                   fabric::ShardLedger(tasks, committed, options_.retry_budget,
+                                       kBackoffInitialSeconds,
+                                       kBackoffMaxSeconds)};
+  for (const int idx : committed) frame.add(store->load_shard(idx));
+  if (!committed.empty())
+    note("resumed " + std::to_string(committed.size()) +
+         " committed shard(s) from checkpoint");
 
   // One dispatcher per remote peer; each leases shards while its peer is
   // alive. This thread doubles as the local degradation worker.
   std::vector<std::thread> workers;
-  for (int q = 0; q < size(); ++q) {
-    if (q == options_.self) continue;
-    workers.emplace_back(
-        [this, q, &spec, &cancel] { peer_worker(q, spec, cancel); });
-  }
-
-  const auto unpublish_and_join = [&] {
+  for (int q = 0; q < size(); ++q)
+    if (q != options_.self)
+      workers.emplace_back([this, q, &frame] { peer_worker(q, frame); });
+  const auto join_workers = [&] {
     sweep_abort_.store(true, std::memory_order_relaxed);
     shard_cv_.notify_all();
     for (std::thread& w : workers) w.join();
-    std::lock_guard<std::mutex> lock(shard_mu_);
-    shards_ = nullptr;
-    sweep_frame_ = nullptr;
   };
 
   bool cancelled = false;
   try {
     for (;;) {
-      int local_idx = -1;
+      std::optional<fabric::ShardLease> local;
       {
         std::unique_lock<std::mutex> lock(shard_mu_);
         if (cancel.load(std::memory_order_relaxed) ||
@@ -698,124 +676,69 @@ void FleetService::run_fleet_sweep(const svc::JobSpec& spec,
           cancelled = true;
           break;
         }
-        if (std::all_of(shards.begin(), shards.end(), [](const Shard& s) {
-              return s.state == Shard::State::kDone;
-            }))
-          break;
-        const int remote_alive = [this] {
-          std::lock_guard<std::mutex> l(mu_);
-          int n = 0;
-          for (int q = 0; q < size(); ++q)
-            if (q != options_.self &&
-                peers_[static_cast<std::size_t>(q)].alive)
-              ++n;
-          return n;
-        }();
-        for (Shard& s : shards) {
-          if (s.state != Shard::State::kPending) continue;
-          // Local execution is the bottom of the degradation ladder: a
-          // shard whose remote retry budget is spent, or any shard when no
-          // peer is alive to take it. Backoff gates do not apply — local
-          // never fails.
-          if (s.attempts >= options_.retry_budget || remote_alive == 0) {
-            s.state = Shard::State::kInFlight;
-            local_idx = s.index;
-            break;
-          }
-        }
-        if (local_idx < 0) {
+        // Local execution is the bottom of the degradation ladder: a shard
+        // whose retry budget is spent, or any shard when no peer is alive
+        // to take it.
+        local = frame.ledger.lease_local(alive_count() == 1);
+        if (!local) {
+          if (frame.ledger.finished()) break;  // none exhausted: all done
           shard_cv_.wait_for(lock, std::chrono::milliseconds(50));
           continue;
         }
       }
-      SeedRange range;
-      {
-        std::lock_guard<std::mutex> lock(shard_mu_);
-        range = shards[static_cast<std::size_t>(local_idx)].range;
-      }
-      note("shard " + std::to_string(local_idx) + " running locally");
-      const fabric::ShardSummary out = svc::run_sweep_shard(spec, range,
-                                                            cancel, limits_);
-      {
-        std::lock_guard<std::mutex> lock(shard_mu_);
-        commit_shard_result(local_idx, out, spec);
-        shard_cv_.notify_all();
-      }
+      note("shard " + std::to_string(local->task.index) + " running locally");
+      const fabric::ShardSummary out =
+          svc::run_sweep_shard(spec, local->task.range, cancel, limits_);
+      std::lock_guard<std::mutex> lock(shard_mu_);
+      commit_shard_result(frame, local->task.index, out);
+      shard_cv_.notify_all();
     }
   } catch (...) {
-    unpublish_and_join();
+    join_workers();
     throw;
   }
-  unpublish_and_join();
+  join_workers();
 
   if (cancelled || cancel.load(std::memory_order_relaxed))
     throw svc::JobCancelled();
 
-  fabric::SweepSummary merged;
-  for (const auto& [idx, shard] : results) merged.add(shard);
-  CIL_CHECK(merged.contiguous());
+  CIL_CHECK(frame.merged.contiguous());
+  const fabric::ShardSummary whole = frame.merged.to_shard();
   emit(svc::frame_result(spec.id, "summary",
-                         fabric::shard_summary_to_json(merged.to_shard())));
+                         fabric::shard_summary_to_json(whole)));
 }
 
-void FleetService::peer_worker(int q, const svc::JobSpec& spec,
-                               const std::atomic<bool>& cancel) {
+void FleetService::peer_worker(int q, SweepFrame& frame) {
   LineClient link;
   for (;;) {
-    int idx = -1;
-    SeedRange range;
-    int attempts = 0;
+    std::optional<fabric::ShardLease> lease;
     {
       std::unique_lock<std::mutex> lock(shard_mu_);
       for (;;) {
-        if (cancel.load(std::memory_order_relaxed) ||
-            sweep_abort_.load(std::memory_order_relaxed) ||
-            shards_ == nullptr)
+        if (frame.cancel.load(std::memory_order_relaxed) ||
+            sweep_abort_.load(std::memory_order_relaxed))
           return;
         const bool peer_alive = [this, q] {
           std::lock_guard<std::mutex> l(mu_);
           return peers_[static_cast<std::size_t>(q)].alive;
         }();
-        if (peer_alive) {
-          const auto now = Clock::now();
-          for (Shard& s : *shards_) {
-            if (s.state != Shard::State::kPending) continue;
-            if (s.attempts < options_.retry_budget && now >= s.not_before) {
-              s.state = Shard::State::kInFlight;
-              idx = s.index;
-              range = s.range;
-              attempts = s.attempts;
-              break;
-            }
-          }
-          if (idx >= 0) break;
-        }
+        if (peer_alive && (lease = frame.ledger.lease(Clock::now()))) break;
         shard_cv_.wait_for(lock, std::chrono::milliseconds(25));
       }
     }
 
-    Shard snapshot;
-    snapshot.index = idx;
-    snapshot.range = range;
-    snapshot.attempts = attempts;
     fabric::ShardSummary out;
-    const bool ok = dispatch_shard(link, q, spec, snapshot, out);
+    const bool ok = dispatch_shard(link, q, frame.spec, *lease, out);
 
     std::lock_guard<std::mutex> lock(shard_mu_);
-    if (shards_ == nullptr) return;
-    Shard& s = (*shards_)[static_cast<std::size_t>(idx)];
+    const int idx = lease->task.index;
     if (ok) {
-      commit_shard_result(idx, out, spec);
+      commit_shard_result(frame, idx, out);
     } else {
-      ++s.attempts;
-      const double delay = fabric::backoff_seconds(
-          kBackoffInitialSeconds, kBackoffMaxSeconds, s.attempts - 1);
-      s.not_before = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                        std::chrono::duration<double>(delay));
-      s.state = Shard::State::kPending;
+      frame.ledger.fail(idx, "peer " + std::to_string(q), Clock::now());
       note("shard " + std::to_string(idx) + " failed on peer " +
-           std::to_string(q) + " (attempt " + std::to_string(s.attempts) +
-           ")");
+           std::to_string(q) + " (attempt " +
+           std::to_string(lease->attempt + 1) + ")");
     }
     shard_cv_.notify_all();
   }
@@ -823,12 +746,15 @@ void FleetService::peer_worker(int q, const svc::JobSpec& spec,
 
 bool FleetService::dispatch_shard(LineClient& link, int q,
                                   const svc::JobSpec& spec,
-                                  const Shard& shard,
+                                  const fabric::ShardLease& lease,
                                   fabric::ShardSummary& out) {
-  if (chaos_gate()) {
+  // After a malformed, foreign or error frame the link's state is unknown:
+  // close it, and the next shard reconnects.
+  const auto drop = [&link] {
     link.close();
     return false;
-  }
+  };
+  if (chaos_gate()) return drop();
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(options_.shard_timeout_ms);
   if (!link.connected()) {
@@ -844,99 +770,61 @@ bool FleetService::dispatch_shard(LineClient& link, int q,
   // A shard is a plain single-chunk sweep job on the peer — the same
   // cilcoord.job.v1 any client speaks, so peers need no fleet-specific
   // data path and the shard result is the standard summary artifact.
-  const std::string id = "fs" + std::to_string(shard.index) + "a" +
-                         std::to_string(shard.attempts);
+  const SeedRange& range = lease.task.range;
+  const std::string id = "fs" + std::to_string(lease.task.index) + "a" +
+                         std::to_string(lease.attempt);
   svc::JobSpec job = spec;
   job.id = id;
-  job.first_seed = shard.range.first_seed;
-  job.seeds = shard.range.num_runs;
-  job.chunk = shard.range.num_runs;
+  job.first_seed = range.first_seed;
+  job.seeds = range.num_runs;
+  job.chunk = range.num_runs;
   job.fleet = false;
   if (!link.send_line(svc::job_spec_to_json(job).dump() + "\n",
                       ms_until(deadline)))
     return false;
 
-  bool got_result = false;
-  fabric::ShardSummary parsed;
-  for (;;) {
-    const int left = ms_until(deadline);
-    if (left == 0) {
-      link.close();  // the peer may still answer later; do not desync
-      return false;
+  std::optional<fabric::ShardSummary> parsed;
+  try {
+    for (;;) {
+      const int left = ms_until(deadline);
+      if (left == 0) return drop();  // a late answer would desync the link
+      std::string line;
+      if (!link.read_line(line, left)) return false;
+      const obs::Json doc =
+          obs::Json::parse(line, obs::ParseLimits::untrusted());
+      const obs::Json* ev = doc.find("event");
+      if (ev == nullptr || !ev->is_string()) continue;
+      const std::string& event = ev->as_string();
+      if (event == "hello" || event == "progress") continue;
+      const obs::Json* jid = doc.find("id");
+      if (jid == nullptr || !jid->is_string() || jid->as_string() != id)
+        return drop();  // a frame for a job we never sent
+      if (event == "error") return drop();
+      if (event == "result")
+        parsed = fabric::shard_summary_from_json(doc.at("summary"));
+      if (event == "done") break;
     }
-    std::string line;
-    if (!link.read_line(line, left)) return false;
-    obs::Json doc;
-    try {
-      doc = obs::Json::parse(line, obs::ParseLimits::untrusted());
-    } catch (const ContractViolation&) {
-      link.close();
-      return false;
-    }
-    const obs::Json* ev = doc.find("event");
-    if (ev == nullptr || !ev->is_string()) continue;
-    const std::string& event = ev->as_string();
-    if (event == "hello" || event == "progress") continue;
-    const obs::Json* jid = doc.find("id");
-    if (jid == nullptr || !jid->is_string() || jid->as_string() != id) {
-      link.close();  // a frame for a job we never sent: broken link state
-      return false;
-    }
-    if (event == "accepted") continue;
-    if (event == "error") {
-      link.close();
-      return false;
-    }
-    if (event == "result") {
-      const obs::Json* summary = doc.find("summary");
-      if (summary == nullptr) {
-        link.close();
-        return false;
-      }
-      try {
-        parsed = fabric::shard_summary_from_json(*summary);
-      } catch (const ContractViolation&) {
-        link.close();
-        return false;
-      }
-      got_result = true;
-      continue;
-    }
-    if (event == "done") break;
-  }
-  if (!got_result) {
-    link.close();
-    return false;
+  } catch (const ContractViolation&) {
+    return drop();
   }
   // The peer computed what we asked for, or it does not count.
-  if (parsed.range.first_seed != shard.range.first_seed ||
-      parsed.range.num_runs != shard.range.num_runs) {
-    link.close();
-    return false;
-  }
-  out = std::move(parsed);
+  if (!parsed || parsed->range != range) return drop();
+  out = std::move(*parsed);
   return true;
 }
 
-void FleetService::commit_shard_result(int index,
-                                       const fabric::ShardSummary& shard,
-                                       const svc::JobSpec& spec) {
-  SweepFrame* frame = sweep_frame_;
-  CIL_CHECK(frame != nullptr && shards_ != nullptr);
-  Shard& s = (*shards_)[static_cast<std::size_t>(index)];
-  if (s.state == Shard::State::kDone) return;  // late duplicate
-  s.state = Shard::State::kDone;
-  (*frame->results)[index] = shard;
-  frame->done_runs += shard.range.num_runs;
-  frame->decided += shard.summary.decided_runs;
-  frame->total_steps += shard.summary.total_steps;
-  if (frame->store != nullptr) {
+void FleetService::commit_shard_result(SweepFrame& frame, int index,
+                                       const fabric::ShardSummary& shard) {
+  if (!frame.ledger.succeed(index)) return;  // late duplicate
+  frame.add(shard);
+  if (frame.store != nullptr) {
     // Two-phase like the fabric supervisor: shard file, then manifest.
-    if (frame->store->write_shard(index, shard))
-      frame->store->commit_shard(index);
+    if (frame.store->write_shard(index, shard))
+      frame.store->commit_shard(index);
   }
-  (*frame->emit)(svc::frame_progress(spec.id, frame->done_runs, spec.seeds,
-                                     frame->decided, frame->total_steps));
+  frame.emit(svc::frame_progress(frame.spec.id, frame.done_runs,
+                                 frame.spec.seeds, frame.decided,
+                                 frame.total_steps));
 }
 
 }  // namespace cil::fleet

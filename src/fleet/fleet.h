@@ -24,8 +24,9 @@
 //   one dispatcher thread per peer leases shards and runs each as a plain
 //   cilcoord.job.v1 sweep on that peer over a dedicated job link, with a
 //   per-shard wall-clock deadline. Failures (dead peer, timeout, error
-//   frame, malformed summary) requeue the shard with exponential backoff;
-//   a shard that exhausts its retry budget — or any shard when zero peers
+//   frame, malformed summary) requeue the shard with exponential backoff
+//   in a fabric::ShardLedger, the fork supervisor's state machine too; a
+//   shard that exhausts its retry budget — or any shard when zero peers
 //   are alive — runs locally, so the sweep completes under arbitrary peer
 //   churn, degrading at worst to the serial path. Shard summaries fold
 //   through the fabric merge monoid, so the final batch_summary.v2 is
@@ -53,6 +54,7 @@
 #include <thread>
 #include <vector>
 
+#include "fabric/shard_ledger.h"
 #include "fleet/client.h"
 #include "fleet/election.h"
 #include "fleet/wire.h"
@@ -82,7 +84,7 @@ struct FleetOptions {
   // Shard dispatch.
   std::int64_t shard_size = 0;  ///< 0 = request chunk / server default
   int shard_timeout_ms = 15'000;  ///< per-shard wall-clock deadline
-  int retry_budget = 3;  ///< remote attempts before a shard goes local
+  int retry_budget = 3;  ///< remote retries after the first try, then local
 
   // Fabric-level chaos injection (frontend side; peer-side kills are the
   // server's JobLimits chaos knobs). Deterministic from chaos_seed.
@@ -136,11 +138,13 @@ class FleetService final : public svc::FleetRunner {
   bool is_leader() const;
   int alive_count() const;  ///< live daemons including self
   std::int64_t elections_run() const;
+  /// This daemon's own automaton decided round() (it may know the leader
+  /// earlier, from an announcement).
+  bool decided_own_round() const;
   obs::Json status_info() const;  ///< the status frame's `info` payload
 
  private:
-  struct Shard;       ///< data-plane work item (fleet.cpp)
-  struct SweepFrame;  ///< one running sweep's shared commit state
+  struct SweepFrame;  ///< one running sweep's ledger and commit state
 
   void control_loop();
   /// One control-plane tick: due heartbeats, then election work.
@@ -160,15 +164,15 @@ class FleetService final : public svc::FleetRunner {
   void note(const std::string& what);  ///< verbose stderr line
 
   // Data plane.
-  void peer_worker(int q, const svc::JobSpec& spec,
-                   const std::atomic<bool>& cancel);
+  void peer_worker(int q, SweepFrame& frame);
   /// Run one shard remotely on q. False on any failure (caller requeues).
   bool dispatch_shard(LineClient& link, int q, const svc::JobSpec& spec,
-                      const Shard& shard, fabric::ShardSummary& out);
+                      const fabric::ShardLease& lease,
+                      fabric::ShardSummary& out);
   /// Record a finished shard: totals, checkpoint, progress frame. Caller
   /// holds shard_mu_.
-  void commit_shard_result(int index, const fabric::ShardSummary& shard,
-                           const svc::JobSpec& spec);
+  void commit_shard_result(SweepFrame& frame, int index,
+                           const fabric::ShardSummary& shard);
 
   FleetOptions options_;
   svc::JobLimits limits_;
@@ -191,12 +195,10 @@ class FleetService final : public svc::FleetRunner {
   std::int64_t elections_ = 0;
   std::unique_ptr<Xoshiro256> chaos_rng_;
 
-  // Data plane state (valid while a fleet sweep is running).
+  // Data plane state.
   std::mutex sweep_mu_;  ///< one fleet sweep at a time
-  std::mutex shard_mu_;
+  std::mutex shard_mu_;  ///< the running sweep's SweepFrame
   std::condition_variable shard_cv_;
-  std::vector<Shard>* shards_ = nullptr;     ///< owned by run_fleet_sweep
-  SweepFrame* sweep_frame_ = nullptr;        ///< likewise; guarded by shard_mu_
   std::atomic<bool> sweep_abort_{false};
 };
 

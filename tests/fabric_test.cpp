@@ -1,4 +1,5 @@
-// Fabric data-plane pins: the merge monoid and the checkpoint store.
+// Fabric data-plane pins: the merge monoid, the checkpoint store and the
+// shard ledger.
 //
 //   * split/shard_seed_range semantics, including agreement with the split
 //     BatchRunner uses for its thread shards;
@@ -9,9 +10,13 @@
 //     the single-shot BatchSummary bit-for-bit;
 //   * overlap rejection, gap detection, and partial concatenation;
 //   * CheckpointStore: fresh open, commit, resume, orphan adoption, config
-//     mismatch rejection, and crash-atomic writes.
+//     mismatch rejection, crash-atomic writes, and a manifest decoder that
+//     refuses malformed numbers (a seeded fuzzer like ShardSummaryFuzz);
+//   * ShardLedger: leases, backoff gates, budgets, local fallback and
+//     commit-once under an injected clock.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +30,7 @@
 #include "core/two_process.h"
 #include "core/unbounded.h"
 #include "fabric/checkpoint.h"
+#include "fabric/shard_ledger.h"
 #include "fabric/summary.h"
 #include "obs/export.h"
 #include "sched/batch.h"
@@ -669,6 +675,248 @@ TEST(CheckpointStore, SweepConfigJsonRoundTrips) {
   const SweepConfig back = fabric::sweep_config_from_json(
       Json::parse(fabric::sweep_config_to_json(config).dump()));
   EXPECT_EQ(back, config);
+}
+
+// -- the manifest decoder ----------------------------------------------------
+//
+// A resume trusts the manifest on disk, so its decoder must refuse anything
+// but a well-formed document: never read a prefix of a number, wrap a
+// negative seed, or truncate an index into another shard's.
+
+TEST(CheckpointStore, ManifestDecoderRejectsMalformedNumbers) {
+  const Json good = fabric::sweep_config_to_json(small_config());
+  for (const char* seed : {"-1", "12abc", "abc", "", " 12", "+12",
+                           "18446744073709551616"}) {
+    Json bad = good;
+    bad["first_seed"] = Json(seed);
+    EXPECT_THROW((void)fabric::sweep_config_from_json(bad), ContractViolation)
+        << seed;
+  }
+  Json wide = good;
+  wide["num_processes"] = Json(std::int64_t{4294967298});
+  EXPECT_THROW((void)fabric::sweep_config_from_json(wide), ContractViolation);
+
+  // An index of 2^32 once truncated to shard 0 and resumed over it.
+  const std::string dir = temp_dir("ckpt_wide_index");
+  {
+    CheckpointStore store(dir);
+    (void)store.open(small_config());
+  }
+  Json manifest = fabric::manifest_to_json({small_config(), {}});
+  manifest["completed"].push_back(Json(std::int64_t{1} << 32));
+  EXPECT_THROW((void)fabric::manifest_from_json(manifest), ContractViolation);
+  ASSERT_TRUE(obs::write_text_file_atomic(dir + "/manifest.json",
+                                          manifest.dump() + "\n"));
+  CheckpointStore reopen(dir);
+  EXPECT_THROW((void)reopen.open(small_config()), ContractViolation);
+}
+
+TEST(ManifestFuzz, MutantsRoundTripOrThrowContractViolation) {
+  std::vector<Json> seeds;
+  seeds.push_back(fabric::manifest_to_json({small_config(), {}}));
+  {
+    SweepConfig config = small_config();
+    config.protocol = "unbounded";
+    config.num_processes = 3;
+    config.scheduler = "avoid";
+    config.range = {18446744073709551000ULL, 600};
+    config.fault_plan = "fp1;seed=1;crash=0@2;recover=0@8";
+    seeds.push_back(fabric::manifest_to_json({config, {0, 2, 74}}));
+  }
+  const std::vector<std::string> vocabulary = {
+      "cilcoord.sweep_manifest.v1", "two", "unbounded", "bounded", "random",
+      "avoid"};
+
+  std::mt19937_64 gen(20261018);
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 6000; ++trial) {
+    Json doc = seeds[static_cast<std::size_t>(trial) % seeds.size()];
+    const int rounds = 1 + static_cast<int>(gen() % 3);
+    for (int r = 0; r < rounds; ++r) {
+      std::size_t index = 0;
+      const std::size_t target = gen() % count_nodes(doc);
+      auto f = [&](const Json& node) {
+        return mutate_node(node, gen, vocabulary);
+      };
+      doc = rebuild(doc, index, target, f);
+    }
+    std::string text = doc.dump();
+    if (gen() % 8 == 0) text.resize(gen() % (text.size() + 1));  // truncate
+    if (gen() % 8 == 0 && !text.empty())
+      text[gen() % text.size()] = static_cast<char>(gen() % 128);  // flip
+    try {
+      const fabric::Manifest got =
+          fabric::manifest_from_json(Json::parse(text));
+      const std::string once = fabric::manifest_to_json(got).dump();
+      const fabric::Manifest again =
+          fabric::manifest_from_json(Json::parse(once));
+      ASSERT_EQ(fabric::manifest_to_json(again).dump(), once) << text;
+      ASSERT_EQ(again.config, got.config) << text;
+      ASSERT_EQ(again.completed, got.completed) << text;
+      ++accepted;
+    } catch (const ContractViolation&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      FAIL() << "non-contract exception " << e.what() << " on " << text;
+    }
+  }
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 3000);
+}
+
+// -- the shard ledger --------------------------------------------------------
+//
+// The lease/retry/commit state machine run_supervised and the fleet
+// dispatcher share, driven here with an injected clock: no fork, no sockets.
+
+using fabric::ShardLedger;
+using Clock = ShardLedger::Clock;
+
+std::vector<fabric::ShardTask> ledger_tasks(int n) {
+  std::vector<fabric::ShardTask> tasks;
+  for (int i = 0; i < n; ++i)
+    tasks.push_back({i, {static_cast<std::uint64_t>(10 * i), 10}});
+  return tasks;
+}
+
+Clock::time_point after(Clock::time_point t, double seconds) {
+  return t + std::chrono::duration_cast<Clock::duration>(
+                 std::chrono::duration<double>(seconds));
+}
+
+const Clock::time_point kT0{};
+
+TEST(ShardLedger, LeasesLowestIndexFirst) {
+  ShardLedger ledger(ledger_tasks(4), {}, 3, 1.0, 8.0);
+  EXPECT_EQ(ledger.lease(kT0)->task.index, 0);
+  EXPECT_EQ(ledger.lease(kT0)->task.index, 1);
+  // A requeued shard whose gate has opened outranks higher fresh ones.
+  EXPECT_TRUE(ledger.fail(0, "exit=7", kT0));
+  const auto next = ledger.lease(after(kT0, 1.0));
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->task.index, 0);
+  EXPECT_EQ(next->task.range, (SeedRange{0, 10}));
+  EXPECT_EQ(ledger.lease(kT0)->task.index, 2);
+  EXPECT_EQ(ledger.lease(kT0)->task.index, 3);
+  EXPECT_FALSE(ledger.lease(kT0).has_value());  // everything in flight
+}
+
+TEST(ShardLedger, BackoffGateFollowsBackoffSeconds) {
+  constexpr int kBudget = 6;
+  ShardLedger ledger(ledger_tasks(1), {}, kBudget, 0.1, 0.25);
+  Clock::time_point now = kT0;
+  for (int k = 0; k < kBudget; ++k) {
+    const auto lease = ledger.lease(now);
+    ASSERT_TRUE(lease.has_value()) << k;
+    ASSERT_TRUE(ledger.fail(0, "signal=9", now));
+    const Clock::time_point gate =
+        after(now, fabric::backoff_seconds(0.1, 0.25, k));
+    EXPECT_FALSE(ledger.lease(gate - Clock::duration(1)).has_value()) << k;
+    now = gate;
+  }
+  EXPECT_TRUE(ledger.lease(now).has_value());
+  EXPECT_EQ(ledger.outcome().retries, kBudget);
+}
+
+TEST(ShardLedger, AttemptNumbersCountEveryEarlierLease) {
+  // The attempt a lease carries is what ShardWorker receives and what the
+  // fleet's job id fs<i>a<k> names: 0 first, +1 per retry. A budget of 3
+  // means 3 retries after the first try: 4 tries in all.
+  ShardLedger ledger(ledger_tasks(2), {}, 3, 0.0, 0.0);
+  for (int k = 0; k < 4; ++k) {
+    const auto lease = ledger.lease(kT0);
+    ASSERT_TRUE(lease.has_value());
+    EXPECT_EQ(lease->task.index, 0);
+    EXPECT_EQ(lease->attempt, k);
+    EXPECT_EQ(ledger.fail(0, "exit=1", kT0), k < 3) << k;
+  }
+  const auto fresh = ledger.lease(kT0);
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(fresh->task.index, 1);
+  EXPECT_EQ(fresh->attempt, 0);
+  EXPECT_TRUE(ledger.succeed(1));
+
+  const fabric::SweepOutcome out = ledger.outcome();
+  EXPECT_EQ(out.shards[0].attempts, 4);
+  EXPECT_EQ(out.shards[1].attempts, 1);
+  EXPECT_EQ(out.retries, 3);
+}
+
+TEST(ShardLedger, ExhaustedShardIsIncompleteForTheSupervisor) {
+  ShardLedger ledger(ledger_tasks(3), {}, 1, 0.0, 0.0);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(ledger.lease(kT0).has_value());
+  EXPECT_TRUE(ledger.succeed(0));
+  EXPECT_TRUE(ledger.succeed(2));
+  EXPECT_TRUE(ledger.fail(1, "exit=9", kT0));
+  EXPECT_FALSE(ledger.finished());
+  ASSERT_EQ(ledger.lease(kT0)->task.index, 1);
+  EXPECT_FALSE(ledger.fail(1, "timeout", kT0));  // budget spent
+  EXPECT_TRUE(ledger.finished());
+  EXPECT_FALSE(ledger.lease(after(kT0, 3600.0)).has_value());
+
+  const fabric::SweepOutcome out = ledger.outcome();
+  EXPECT_FALSE(out.complete());
+  EXPECT_EQ(out.incomplete_shards, (std::vector<int>{1}));
+  EXPECT_EQ(out.shards[1].attempts, 2);
+  EXPECT_EQ(out.shards[1].last_error, "timeout");
+  EXPECT_FALSE(out.shards[1].completed);
+  EXPECT_TRUE(out.shards[0].completed);
+}
+
+TEST(ShardLedger, LocalLeaseTakesExhaustedShardsWithoutBackoff) {
+  ShardLedger ledger(ledger_tasks(3), {}, 0, 60.0, 60.0);
+  ASSERT_EQ(ledger.lease(kT0)->task.index, 0);
+  ASSERT_EQ(ledger.lease(kT0)->task.index, 1);
+  EXPECT_FALSE(ledger.fail(1, "peer 2", kT0));  // budget 0: exhausted
+  // Peers alive: only the exhausted shard goes local, ahead of pending 2.
+  const auto local = ledger.lease_local(false);
+  ASSERT_TRUE(local.has_value());
+  EXPECT_EQ(local->task.index, 1);
+  EXPECT_EQ(local->attempt, 1);
+  EXPECT_FALSE(ledger.lease_local(false).has_value());
+  EXPECT_TRUE(ledger.succeed(1));
+  // No peer alive: a pending shard goes local too, its gate ignored.
+  ShardLedger gated(ledger_tasks(1), {}, 3, 60.0, 60.0);
+  ASSERT_TRUE(gated.lease(kT0).has_value());
+  EXPECT_TRUE(gated.fail(0, "peer 1", kT0));
+  EXPECT_FALSE(gated.lease(kT0).has_value());
+  EXPECT_FALSE(gated.lease_local(false).has_value());
+  ASSERT_TRUE(gated.lease_local(true).has_value());
+  EXPECT_TRUE(gated.succeed(0));
+  EXPECT_TRUE(gated.finished());
+  EXPECT_TRUE(gated.outcome().complete());
+}
+
+TEST(ShardLedger, ResumedShardsAreNeverLeased) {
+  // Index 99 is not a task: a committed list may name shards outside it.
+  ShardLedger ledger(ledger_tasks(4), {0, 2, 99}, 3, 0.0, 0.0);
+  EXPECT_EQ(ledger.lease(kT0)->task.index, 1);
+  EXPECT_EQ(ledger.lease(kT0)->task.index, 3);
+  EXPECT_FALSE(ledger.lease(kT0).has_value());
+  EXPECT_FALSE(ledger.lease_local(true).has_value());
+  EXPECT_TRUE(ledger.succeed(1));
+  EXPECT_TRUE(ledger.succeed(3));
+  EXPECT_TRUE(ledger.outcome().complete());
+
+  const fabric::SweepOutcome out = ledger.outcome();
+  EXPECT_TRUE(out.shards[0].resumed);
+  EXPECT_TRUE(out.shards[0].completed);
+  EXPECT_EQ(out.shards[0].attempts, 0);
+  EXPECT_FALSE(out.shards[1].resumed);
+  EXPECT_EQ(out.shards[1].attempts, 1);
+}
+
+TEST(ShardLedger, LateDuplicateSucceedIsANoOp) {
+  ShardLedger ledger(ledger_tasks(2), {1}, 3, 0.0, 0.0);
+  ASSERT_TRUE(ledger.lease(kT0).has_value());
+  EXPECT_TRUE(ledger.succeed(0));
+  EXPECT_FALSE(ledger.succeed(0));
+  EXPECT_FALSE(ledger.succeed(1));  // resumed: already done
+  const fabric::SweepOutcome out = ledger.outcome();
+  EXPECT_TRUE(out.complete());
+  EXPECT_EQ(out.shards[0].attempts, 1);
+  EXPECT_EQ(out.retries, 0);
 }
 
 }  // namespace

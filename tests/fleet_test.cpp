@@ -387,6 +387,9 @@ TEST(FleetService, TrioElectsOneLiveLeaderAndLogsTranscript) {
 
   // Every daemon ran at least one election.
   for (const auto& n : nodes) EXPECT_GE(n->fleet->elections_run(), 1);
+  // Node 0 may adopt an announced leader before its own automaton decides;
+  // stopping it then would cut its transcript short of the decision.
+  EXPECT_TRUE(wait_until([&] { return nodes[0]->fleet->decided_own_round(); }));
 
   nodes.clear();  // stops node 0 and flushes its sink
 

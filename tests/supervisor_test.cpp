@@ -106,7 +106,6 @@ SupervisorOptions fast_options() {
   options.workers = 3;
   options.retry_budget = 3;
   options.backoff_initial_seconds = 0.01;
-  options.backoff_max_seconds = 0.05;
   options.shard_timeout_seconds = 30.0;
   return options;
 }

@@ -89,8 +89,9 @@ int usage() {
       "              [--election-log=PATH] [--fleet-checkpoint=DIR]\n"
       "              [--hb-interval-ms=N] [--hb-timeout-ms=N]\n"
       "              [--hb-miss-limit=N] [--shard-size=N]\n"
-      "              [--shard-timeout-ms=N] [--retry-budget=N]\n"
-      "              [--election-seed=N]\n"
+      "              [--shard-timeout-ms=N] [--election-seed=N]\n"
+      "              [--retry-budget=N]  remote retries per shard after the\n"
+      "                                  first try, then it runs locally\n"
       "  chaos:      [--chaos-kill-prob=P] [--chaos-kill-seed=N]\n"
       "              [--chaos-drop-prob=P] [--chaos-delay-ms=N]\n"
       "              [--chaos-seed=N]\n");
