@@ -108,7 +108,8 @@ void measure_lane(const TwoProcessProtocol& protocol,
 // (P0 crashes at its 2nd step, recovers 8 ticks later), measured on both
 // engines. The lane engine serves the plan natively through its per-lane
 // fault cursors — summaries stay bit-identical (BatchLane.FaultSweepBitIdentity),
-// so the lane_us_per_run / us_per_run ratio is the fault kernel's speedup.
+// so the lane_us_per_run / us_per_run ratio is the lane kernel's speedup
+// under faults.
 void measure_crash_series(const TwoProcessProtocol& protocol,
                           BenchReport& report) {
   fault::FaultPlan plan;

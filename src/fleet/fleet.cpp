@@ -146,6 +146,10 @@ bool FleetService::decided_own_round() const {
 
 obs::Json FleetService::status_info() const {
   std::lock_guard<std::mutex> lock(mu_);
+  return status_info_locked();
+}
+
+obs::Json FleetService::status_info_locked() const {
   obs::Json info = obs::Json::object();
   info["self"] = obs::Json(options_.self);
   info["n"] = obs::Json(size());
@@ -263,16 +267,7 @@ std::string FleetService::handle_peer_frame(const obs::Json& doc) {
     resp.type = "status";
     resp.round = round_;
     resp.leader = leader_;
-    obs::Json info = obs::Json::object();
-    info["self"] = obs::Json(options_.self);
-    info["n"] = obs::Json(size());
-    info["elections"] = obs::Json(elections_);
-    obs::Json alive = obs::Json::array();
-    for (int q = 0; q < size(); ++q)
-      alive.push_back(obs::Json(q == options_.self ||
-                                peers_[static_cast<std::size_t>(q)].alive));
-    info["alive"] = std::move(alive);
-    resp.extra = std::move(info);
+    resp.extra = status_info_locked();
     return peer_frame(resp);
   }
 

@@ -146,6 +146,7 @@ class FleetService final : public svc::FleetRunner {
  private:
   struct SweepFrame;  ///< one running sweep's ledger and commit state
 
+  obs::Json status_info_locked() const;  ///< status_info; mu_ held
   void control_loop();
   /// One control-plane tick: due heartbeats, then election work.
   void tick(std::vector<LineClient>& links);

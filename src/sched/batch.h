@@ -89,7 +89,7 @@ struct BatchOptions {
   /// sweeps. Served by BOTH engines with bit-identical summaries: scalar
   /// workers wrap each seed's scheduler in a FaultPlanScheduler (plus the
   /// SimRegisterFaults hook when the plan carries word-fault rates); lane
-  /// workers hand the plan to LaneEngine, whose SoA fault kernel carries
+  /// workers hand the plan to LaneEngine, whose SoA kernel carries
   /// representable crash/recovery plans in the lanes and falls back to the
   /// same scalar rig for the rest. Borrowed; must outlive run().
   const fault::FaultPlan* fault_plan = nullptr;

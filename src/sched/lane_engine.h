@@ -1,17 +1,15 @@
 // The lane-parallel engine: W independent seeds advancing in lockstep.
 //
 // A sweep's runs share everything except their seed, so one core can carry W
-// of them at once in structure-of-arrays form: register words live in a
-// LaneRegisterFile (`value[reg][lane]`), the per-lane PRNG states are SoA
-// word arrays stepped by the same xoshiro256** recurrence as util/rng.h,
-// liveness/decision state is a bitmask per lane, and the set of lanes still
-// hosting a run is one word-wide mask the round loop walks with countr_zero.
-// Scheduling picks, permission checks, and property bookkeeping cost no
-// per-lane branching on the common path: the random pick is an arithmetic
-// select over the lane's active mask, register-access permissions and
-// widths are validated once at setup (word-wide, per site — the registers
-// and access sites are the same in every lane), and the consistency /
-// nontriviality checks trigger only on decision events.
+// of them at once. LaneEngine has one SoA kernel plus the scalar fallback.
+// The kernel bitslices Figure 1's automaton: every per-lane field (pc,
+// preferences, decisions, register words, liveness) is one bit in a 64-bit
+// plane, so a lockstep round is a few dozen word-wide boolean ops for all W
+// lanes together. Only the per-lane PRNG states stay as SoA word arrays,
+// stepped by the same xoshiro256** recurrence as util/rng.h. Register-access
+// permissions and widths are validated once at setup (word-wide, per site —
+// the registers and access sites are the same in every lane), and the
+// consistency / nontriviality checks trigger only on decision events.
 //
 // The contract that keeps the speedup honest is BIT-IDENTITY: every lane
 // produces exactly the run a scalar `Simulation` with the same seed and an
@@ -21,16 +19,16 @@
 // max_register_bits. engine_golden_test pins this per lane over the whole
 // golden corpus at W in {1,4,8}.
 //
-// The SoA kernel serves the hot case: TwoProcessProtocol (default mode)
+// The kernel serves TwoProcessProtocol (default mode) with binary inputs
 // under uniformly random scheduling with no observation sink. Everything
-// else — adaptive adversaries, other protocols, observed runs, custom
-// rigs — DIVERGES to the scalar fallback: one pooled Simulation per
-// engine, reset per seed, run through exactly the code path BatchRunner's
-// scalar workers use, so divergent lanes are bit-identical by construction
-// rather than by reimplementation. `soa_supported()` reports which path a
-// configuration takes; sweeps need not care.
+// else — adaptive adversaries, other protocols, wider inputs, observed
+// runs, custom rigs — DIVERGES to the scalar fallback: one pooled
+// Simulation per engine, reset per seed, run through exactly the code path
+// BatchRunner's scalar workers use, so divergent lanes are bit-identical by
+// construction rather than by reimplementation. `soa_supported()` reports
+// which path a configuration takes; sweeps need not care.
 //
-// Two dimensions of the kernel are decided per run() call:
+// Three dimensions of the kernel are decided per run() call:
 //
 //  * SIMD WIDTH. The round loop batch-advances all W lanes' xoshiro256**
 //    scheduler states (and, masked, the coin states of the lanes about to
@@ -40,18 +38,23 @@
 //    never changes results: a u64x<N> batch update is exactly N scalar
 //    updates, so bit-identity holds at every (W, N) combination.
 //
-//  * FAULTS. A LaneRunOptions::fault_plan brings crash/recovery sweeps
-//    into the lanes: each lane carries its own cursors over the shared
-//    plan (pending-crash flag, armed/consumed recovery-event masks, due
-//    steps), crash masks fold into the lane's liveness word, and recovery
-//    applies the protocol's conservative re-read (persisted own word; ⊥ →
-//    cold restart) — the exact event semantics of FaultPlanScheduler +
-//    Simulation::crash/recover, including idle clock ticks while every
-//    live processor is done but a restart is still due. Plans the kernel
-//    cannot represent (stalls, word faults, multi-crash, non-conservative
-//    recovery protocols) diverge to the scalar fallback, which wraps each
-//    seed's scheduler in a real FaultPlanScheduler — identical to what
+//  * FAULTS. A LaneRunOptions::fault_plan with one crash (and at most one
+//    recovery for its victim) runs in the lanes: each lane carries its own
+//    cursors over the shared plan (pending-crash, crashed, armed-recovery
+//    and recovered planes, plus a due round), the crash masks the victim
+//    out of the lane's liveness plane, and recovery applies the protocol's
+//    conservative re-read (persisted own word; ⊥ → cold restart) — the
+//    exact event semantics of FaultPlanScheduler + Simulation::crash /
+//    recover, including idle clock ticks while every live processor is
+//    done but a restart is still due. Plans the kernel cannot represent
+//    (stalls, word faults, multi-crash, non-conservative recovery
+//    protocols) diverge to the scalar fallback, which wraps each seed's
+//    scheduler in a real FaultPlanScheduler — identical to what
 //    BatchRunner's scalar workers do with the same plan.
+//
+//  * RECORDING. record_schedule pushes each stepping lane's pick into its
+//    schedule. Faults and recording are compile-time template arguments,
+//    so the plain sweep loop carries neither.
 #pragma once
 
 #include <atomic>
@@ -61,7 +64,6 @@
 #include <vector>
 
 #include "fault/fault_plan.h"
-#include "registers/lane_register_file.h"
 #include "sched/adversary.h"
 #include "sched/schedulers.h"
 #include "sched/simulation.h"
@@ -122,7 +124,7 @@ struct LaneRunOptions {
   const std::atomic<bool>* cancel = nullptr;
   /// Shared fault schedule applied to every run, or null for fault-free
   /// runs. Representable plans (crash/recovery only — see the header
-  /// comment) run on the SoA fault kernel; the rest take the scalar
+  /// comment) run in the SoA kernel's fault cursors; the rest take the scalar
   /// fallback, which wraps each seed's spec-derived scheduler in a
   /// FaultPlanScheduler (plus SimRegisterFaults when the plan carries
   /// word-fault rates) — the exact rig BatchRunner's scalar workers use
@@ -198,19 +200,12 @@ class LaneEngine {
  private:
   struct Soa;  // the SoA lane state block (lane_engine.cpp)
 
-  bool run_soa(std::uint64_t first_seed, std::int64_t num_runs,
-               const LaneRunOptions& options, const LaneHarvest& harvest);
-  /// The kernel proper, specialized at compile time on whether the pid
-  /// schedule is recorded (the bench path carries no push_back code) and
-  /// on whether a fault plan is armed (the fault-free path carries no
-  /// event-cursor code at all).
-  template <bool kRecordSchedule, bool kFaults>
-  bool run_soa_impl(std::uint64_t first_seed, std::int64_t num_runs,
-                    const LaneRunOptions& options, const LaneHarvest& harvest);
-  /// The throughput kernel for the hot sweep shape (no schedule recording,
-  /// no faults, binary inputs): the whole automaton state bitsliced to one
-  /// bit per lane in 64-bit planes, so a round costs a few dozen word-wide
-  /// boolean ops for all W lanes together. Bit-identical to run_soa_impl.
+  /// The one SoA kernel: Figure 1's automaton bitsliced to one bit per
+  /// lane in 64-bit planes, so a round costs a few dozen word-wide boolean
+  /// ops for all W lanes together. Specialized at compile time on whether
+  /// the pid schedule is recorded and on whether a fault plan's crash is
+  /// armed, so the plain sweep loop carries neither.
+  template <bool kRecord, bool kFaults>
   bool run_soa_sliced(std::uint64_t first_seed, std::int64_t num_runs,
                       const LaneRunOptions& options,
                       const LaneHarvest& harvest);

@@ -87,12 +87,13 @@ class Protocol {
   virtual bool lane_soa_two_process() const { return false; }
 
   /// True iff this protocol's recover() is the conservative re-read the
-  /// lane engine's fault kernel implements for lane_soa_two_process()
-  /// protocols: decode the persisted own-register word; ⊥ means a cold
-  /// restart (the initial write never landed), anything else resumes at
-  /// the read step with the decoded preference. Protocols with modified
-  /// recovery semantics (e.g. the planted warm-recovery ablation) answer
-  /// false, which diverts their fault-plan lanes to the scalar path.
+  /// lane engine's SoA kernel implements under a fault plan for
+  /// lane_soa_two_process() protocols: decode the persisted own-register
+  /// word; ⊥ means a cold restart (the initial write never landed),
+  /// anything else resumes at the read step with the decoded preference.
+  /// Protocols with modified recovery semantics (e.g. the planted
+  /// warm-recovery ablation) answer false, which diverts their fault-plan
+  /// lanes to the scalar path.
   virtual bool lane_soa_conservative_recovery() const {
     return lane_soa_two_process();
   }
@@ -110,8 +111,8 @@ class Protocol {
   }
 
   /// The shared static description behind make_registers, for callers that
-  /// replicate storage themselves (LaneRegisterFile columns). Same lazy
-  /// build, same thread-safety caveat.
+  /// check access sites without building a file (LaneEngine's setup-time
+  /// validation). Same lazy build, same thread-safety caveat.
   std::shared_ptr<const RegisterSpecTable> shared_spec_table() const {
     if (spec_table_ == nullptr)
       spec_table_ = std::make_shared<const RegisterSpecTable>(registers());

@@ -1,13 +1,28 @@
 #include "search/artifact.h"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 
+#include "fabric/summary.h"
 #include "obs/export.h"
 #include "util/check.h"
 
 namespace cil::search {
+
+namespace {
+
+/// An artifact integer stored as an int: range-checked before the cast.
+int to_int(const obs::Json& j, const char* what, std::int64_t lo) {
+  const std::int64_t v = j.as_int();
+  CIL_CHECK_MSG(v >= lo && v <= std::numeric_limits<int>::max(),
+                std::string("worst-plan artifact: ") + what + " out of range");
+  return static_cast<int>(v);
+}
+
+}  // namespace
 
 WorstPlanArtifact make_artifact(const SearchResult& r, std::string protocol,
                                 std::string substrate, std::string ablation,
@@ -65,13 +80,14 @@ WorstPlanArtifact artifact_from_json(const obs::Json& j) {
   a.substrate = j.at("substrate").as_string();
   a.ablation = j.at("ablation").as_string();
   a.search = j.at("search").as_string();
-  a.num_processes = static_cast<int>(j.at("n").as_int());
-  a.tolerance = static_cast<int>(j.at("t").as_int());
+  a.num_processes = to_int(j.at("n"), "n", 0);
+  a.tolerance = to_int(j.at("t"), "t", -1);  // -1: Ben-Or's default
   a.eval_steps = j.at("eval_steps").as_int();
   for (const obs::Json& v : j.at("inputs").as_array())
-    a.inputs.push_back(static_cast<Value>(v.as_int()));
+    a.inputs.push_back(to_int(v, "input", 0));
   a.genome.plan = fault::FaultPlan::parse(j.at("plan").as_string());
-  a.genome.sched_seed = std::stoull(j.at("sched_seed").as_string());
+  a.genome.sched_seed = fabric::parse_seed(j.at("sched_seed").as_string(),
+                                           "worst-plan artifact: sched_seed");
   a.fitness = j.at("fitness").as_number();
   a.violation = j.at("violation").as_bool();
   a.violation_what = j.at("violation_what").as_string();

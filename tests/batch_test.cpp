@@ -35,6 +35,7 @@
 #include "fault/sim_faults.h"
 #include "sched/adversary.h"
 #include "sched/batch.h"
+#include "sched/lane_engine.h"
 #include "sched/schedulers.h"
 #include "sched/simulation.h"
 #include "util/simd.h"
@@ -602,7 +603,7 @@ TEST(BatchLane, RunHookSeesEverySeedExactlyOnce) {
 TEST(BatchLane, FaultSweepBitIdentity) {
   // A shared crash/recovery plan served by BOTH engines: the scalar workers
   // wrap their schedulers in FaultPlanScheduler per seed, the lane workers
-  // run the SoA fault kernel with per-lane cursors — and the summaries must
+  // run the SoA kernel with per-lane fault cursors — and the summaries must
   // be bit-identical. 4 threads x 8 lanes so the TSan CI arm pins the fault
   // cursors' data-race freedom too.
   fault::FaultPlan plan;
@@ -633,6 +634,101 @@ TEST(BatchLane, FaultSweepBitIdentity) {
   opts.threads = 1;
   opts.lanes = 1;
   expect_equal_summaries(lane, batch.run(opts, nullptr));
+}
+
+TEST(BatchLane, NonBinaryInputsTakeTheScalarFallback) {
+  // The sliced kernel keeps every preference as one bit per lane, so wider
+  // inputs run through the pooled scalar fallback — same summary as the
+  // scalar engine, reported at width 1.
+  TwoProcessProtocol protocol(5);
+  BatchRunner batch(protocol, {2, 5});
+  BatchOptions opts;
+  opts.first_seed = 3;
+  opts.num_runs = 200;
+  opts.threads = 2;
+  const BatchSummary scalar = batch.run(opts, random_factory(0x1234));
+
+  LaneRunOptions lo;
+  lo.sched = {LaneSchedSpec::Kind::kRandom, 0x1234, 0};
+  EXPECT_FALSE(LaneEngine(protocol, {2, 5}).soa_supported(lo));
+  EXPECT_TRUE(LaneEngine(protocol, {0, 1}).soa_supported(lo));
+
+  opts.engine = BatchEngine::kLane;
+  opts.lanes = 8;
+  opts.lane_sched = lo.sched;
+  const BatchSummary lane = batch.run(opts, nullptr);
+  EXPECT_EQ(lane.simd_width, 1);
+  EXPECT_EQ(lane.decided_runs, 200);
+  expect_equal_summaries(scalar, lane);
+}
+
+TEST(BatchLane, ZeroStepCapMatchesScalarEngine) {
+  // Simulation takes no step under a cap of 0; a lockstep round always
+  // takes one, so the lane engine must hand such sweeps to the fallback.
+  TwoProcessProtocol protocol;
+  BatchRunner batch(protocol, {0, 1});
+  BatchOptions opts;
+  opts.first_seed = 1;
+  opts.num_runs = 50;
+  opts.threads = 1;
+  opts.max_total_steps = 0;
+  const BatchSummary scalar = batch.run(opts, random_factory(0x1234));
+  EXPECT_EQ(scalar.total_steps, 0);
+
+  opts.engine = BatchEngine::kLane;
+  opts.lane_sched = {LaneSchedSpec::Kind::kRandom, 0x1234, 0};
+  expect_equal_summaries(scalar, batch.run(opts, nullptr));
+}
+
+TEST(BatchLane, CrashRecoverySweepRefillsMidRoundAtW64) {
+  // All 64 lanes under a plan, with more runs per worker than lanes: lanes
+  // finish, idle through outages and refill in every round, and the
+  // per-lane fault cursors must never leak from one run into the next.
+  const fault::FaultPlan plan =
+      fault::FaultPlan::parse("fp1;crash=1@3;recover=1@5");
+  TwoProcessProtocol protocol;
+  BatchRunner batch(protocol, {0, 1});
+  BatchOptions opts;
+  opts.first_seed = 77;
+  opts.num_runs = 1'000;
+  opts.threads = 2;
+  opts.fault_plan = &plan;
+  opts.lane_sched = registry::sched_spec("random");
+  const BatchSummary scalar = batch.run(opts);
+
+  LaneRunOptions lo;
+  lo.fault_plan = &plan;
+  ASSERT_TRUE(LaneEngine(protocol, {0, 1}).soa_supported(lo));
+  opts.engine = BatchEngine::kLane;
+  opts.lanes = 64;
+  const BatchSummary lane = batch.run(opts);
+  EXPECT_EQ(lane.num_runs, 1'000);
+  EXPECT_GT(lane.recoveries, 0);
+  expect_equal_summaries(scalar, lane);
+}
+
+TEST(BatchLane, MootCrashMatchesScalarEngine) {
+  // P0 usually decides long before its 12th own step, so the crash (and
+  // with it the recovery) mostly never fires; when a long run reaches it,
+  // the recovery comes due. Both cases must match the scalar engine.
+  const fault::FaultPlan plan =
+      fault::FaultPlan::parse("fp1;crash=0@12;recover=0@3");
+  TwoProcessProtocol protocol;
+  BatchRunner batch(protocol, {0, 1});
+  BatchOptions opts;
+  opts.first_seed = 1;
+  opts.num_runs = 600;
+  opts.threads = 2;
+  opts.fault_plan = &plan;
+  opts.lane_sched = registry::sched_spec("random");
+  const BatchSummary scalar = batch.run(opts);
+  EXPECT_LT(scalar.recoveries, scalar.num_runs / 4);
+
+  opts.engine = BatchEngine::kLane;
+  opts.lanes = 8;
+  const BatchSummary lane = batch.run(opts);
+  EXPECT_EQ(lane.decided_runs, 600);
+  expect_equal_summaries(scalar, lane);
 }
 
 TEST(BatchLane, ProbeDowngradesToScalarWithNote) {

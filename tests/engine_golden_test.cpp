@@ -159,12 +159,12 @@ std::string replay_case(const std::string& name, std::uint64_t seed) {
 }
 
 /// Lane-engine options that reproduce a golden case: the built-in spec
-/// kinds for random/adversary lines (exercising the SoA kernel for
+/// kinds for random/adversary lines (exercising the sliced SoA kernel for
 /// two/random and the pooled-scheduler fallback for the rest), a shared
-/// FaultPlan for the two/crashrec* lines (exercising the SoA fault
-/// kernel's crash/recovery cursors), and a custom scalar_run for the
-/// exotic rigs (split adversary, register faults, multi-process fault
-/// plans) — exercising the kCustom divergence arm.
+/// FaultPlan for the two/crashrec* lines (exercising the sliced kernel's
+/// crash/recovery cursors), and a custom scalar_run for the exotic rigs
+/// (split adversary, register faults, multi-process fault plans) —
+/// exercising the kCustom divergence arm.
 LaneRunOptions lane_case_options(const std::string& name, int lanes) {
   const std::string kind = name.substr(name.find('/') + 1);
   LaneRunOptions lo;
@@ -212,11 +212,12 @@ TEST(EngineGolden, ReplaysEveryCorpusLineBitForBit) {
 // recoveries, max register bits, decisions, and the exact schedule —
 // against a freshly-built scalar Simulation of the same seed. Each width
 // sweeps more runs than lanes, so the SoA kernel's harvest-and-refill path
-// (a finished lane reloading the next seed mid-round) is pinned too, and
-// every divergence arm is exercised: two/random takes the SoA kernel,
-// two/crashrec* the SoA fault kernel, adversary lines the
-// pooled-scheduler fallback, the exotic rigs the custom scalar_run
-// fallback.
+// (a finished lane reloading the next seed mid-round) is pinned too. Every
+// line records its schedule, so this is the schedule-by-schedule pin of the
+// one sliced kernel, in three arms: two/random takes it fault-free,
+// two/crashrec* takes it with the plan's fault cursors, and everything
+// else a fallback arm (adversary lines the pooled-scheduler fallback, the
+// exotic rigs the custom scalar_run fallback).
 TEST(EngineGolden, LaneEngineMatchesScalarPerLaneAtEveryWidth) {
   std::ifstream is(CIL_GOLDENS_PATH);
   ASSERT_TRUE(is) << "cannot open " << CIL_GOLDENS_PATH;
@@ -241,6 +242,8 @@ TEST(EngineGolden, LaneEngineMatchesScalarPerLaneAtEveryWidth) {
     for (const int lanes : {1, 4, 8}) {
       LaneEngine engine(*protocol, inputs);
       const bool soa = engine.soa_supported(lane_case_options(name, lanes));
+      if (name == "two/random" || plan_for_case(name) != nullptr)
+        EXPECT_TRUE(soa) << name << " must take the sliced kernel";
       if (soa) {
         ++soa_cases;
         if (plan_for_case(name) != nullptr) ++fault_soa_cases;
@@ -270,9 +273,9 @@ TEST(EngineGolden, LaneEngineMatchesScalarPerLaneAtEveryWidth) {
       }
     }
   }
-  // two/random lines take the SoA kernel, two/crashrec* its fault arm, and
-  // everything else a fallback arm. All three must appear, or the pin is
-  // vacuous.
+  // two/random lines take the sliced kernel, two/crashrec* the sliced
+  // kernel with faults, and everything else a fallback arm. All three must
+  // appear, or the pin is vacuous.
   EXPECT_GT(soa_cases, 0);
   EXPECT_GT(fault_soa_cases, 0);
   EXPECT_GT(fallback_cases, 0);

@@ -387,6 +387,36 @@ TEST(FleetService, TrioElectsOneLiveLeaderAndLogsTranscript) {
 
   // Every daemon ran at least one election.
   for (const auto& n : nodes) EXPECT_GE(n->fleet->elections_run(), 1);
+
+  // A status_req over the wire answers with status_info(): the roster's
+  // liveness and whether the elected leader is alive.
+  const auto status_round_trip = [&](int port) {
+    PeerMsg status;
+    LineClient link;
+    PeerMsg req;
+    req.type = "status_req";
+    if (!link.connect("127.0.0.1", port, 5'000) ||
+        !link.send_line(peer_frame(req), 5'000))
+      return status;
+    std::string line;
+    while (status.type != "status" && link.read_line(line, 5'000)) {
+      const Json doc = Json::parse(line);
+      if (is_peer_frame(doc)) status = peer_msg_from_json(doc);  // past hello
+    }
+    return status;
+  };
+  PeerMsg status;
+  EXPECT_TRUE(wait_until([&] {
+    status = status_round_trip(ports[1]);
+    return status.extra.is_object() &&
+           status.extra.find("leader_alive") != nullptr &&
+           status.extra.at("leader_alive").as_bool();
+  })) << "status info: " << status.extra.dump();
+  ASSERT_EQ(status.type, "status");
+  EXPECT_NE(status.leader, kNoLeader);
+  EXPECT_EQ(status.extra.at("self").as_int(), 1);
+  EXPECT_EQ(status.extra.at("n").as_int(), 3);
+  EXPECT_EQ(status.extra.at("alive").as_array().size(), 3u);
   // Node 0 may adopt an announced leader before its own automaton decides;
   // stopping it then would cut its transcript short of the decision.
   EXPECT_TRUE(wait_until([&] { return nodes[0]->fleet->decided_own_round(); }));

@@ -10,10 +10,12 @@
 //     chaos misses it across a 50'000-evaluation budget (fixed seeds; see
 //     EXPERIMENTS.md X7 for the multi-seed picture);
 //   * the worst-plan artifact round-trips through JSON and replays to the
-//     identical outcome.
+//     identical outcome, and its decoder refuses malformed fields with a
+//     ContractViolation (pinned cases plus a seeded structural fuzzer).
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,8 @@
 #include "search/evaluate.h"
 #include "search/genome.h"
 #include "search/optimize.h"
+#include "tests/json_mutate.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace cil::search {
@@ -205,6 +209,109 @@ TEST(Artifact, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(b.violation, a.violation);
   EXPECT_EQ(b.evaluations, a.evaluations);
   EXPECT_EQ(b.evaluations_to_best, a.evaluations_to_best);
+}
+
+WorstPlanArtifact sample_artifact() {
+  WorstPlanArtifact a;
+  a.protocol = "two";
+  a.substrate = "sim";
+  a.ablation = "warm-recovery";
+  a.search = "evo";
+  a.num_processes = 2;
+  a.inputs = {0, 1};
+  a.genome.plan =
+      fault::FaultPlan::parse("fp1;seed=42;crash=1@5;recover=1@1");
+  a.genome.sched_seed = 18'446'744'073'709'551'262ULL;
+  a.eval_steps = 4'000;
+  a.fitness = 1.001e12;
+  a.violation = true;
+  a.violation_what = "consistency violated";
+  a.evaluations = 349;
+  a.evaluations_to_best = 349;
+  return a;
+}
+
+TEST(Artifact, DecoderRefusesTrailingBytesAndOutOfRangeInts) {
+  // Each of these once decoded to a different artifact instead of failing:
+  // a seed with trailing bytes replayed as its digit prefix, a non-numeric
+  // seed escaped as std::invalid_argument, and n = 2^32 + 2 wrapped to 2.
+  const obs::Json good = artifact_to_json(sample_artifact());
+  const auto with = [&good](const char* key, obs::Json value) {
+    obs::Json doc = good;
+    doc[key] = std::move(value);
+    return doc;
+  };
+  EXPECT_THROW(artifact_from_json(with(
+                   "sched_seed", obs::Json("18446744073709551262abc"))),
+               ContractViolation);
+  EXPECT_THROW(artifact_from_json(with("sched_seed", obs::Json("abc"))),
+               ContractViolation);
+  EXPECT_THROW(artifact_from_json(
+                   with("n", obs::Json(std::int64_t{4'294'967'298}))),
+               ContractViolation);
+  EXPECT_THROW(artifact_from_json(with("t", obs::Json(std::int64_t{-2}))),
+               ContractViolation);
+  EXPECT_EQ(artifact_from_json(good).genome.sched_seed,
+            18'446'744'073'709'551'262ULL);
+}
+
+TEST(WorstPlanFuzz, MutantsRoundTripOrThrowContractViolation) {
+  using namespace cil::testing_json;
+  std::vector<obs::Json> seeds;
+  seeds.push_back(artifact_to_json(sample_artifact()));
+  {
+    WorstPlanArtifact a = sample_artifact();
+    a.protocol = "ben-or";
+    a.substrate = "msg";
+    a.ablation = "";
+    a.num_processes = 3;
+    a.tolerance = 1;
+    a.inputs = {0, 1, 1};
+    a.genome.plan = fault::FaultPlan::parse("fp1;seed=3;crash=2@4");
+    a.genome.sched_seed = 7;
+    a.violation = false;
+    a.violation_what = "";
+    seeds.push_back(artifact_to_json(a));
+  }
+  const std::vector<std::string> vocabulary = {
+      "cilcoord.worst_plan.v1", "two", "sim", "msg", "evo",
+      "fp1;seed=1;crash=0@2;recover=0@8", "fp1;crash=9@1"};
+
+  std::mt19937_64 gen(20261019);
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 6000; ++trial) {
+    obs::Json doc = seeds[static_cast<std::size_t>(trial) % seeds.size()];
+    const int rounds = 1 + static_cast<int>(gen() % 3);
+    for (int r = 0; r < rounds; ++r) {
+      std::size_t index = 0;
+      const std::size_t target = gen() % count_nodes(doc);
+      auto f = [&](const obs::Json& node) {
+        return mutate_node(node, gen, vocabulary);
+      };
+      doc = rebuild(doc, index, target, f);
+    }
+    std::string text = doc.dump();
+    if (gen() % 8 == 0) text.resize(gen() % (text.size() + 1));  // truncate
+    if (gen() % 8 == 0 && !text.empty())
+      text[gen() % text.size()] = static_cast<char>(gen() % 128);  // flip
+    try {
+      const WorstPlanArtifact got = artifact_from_json(obs::Json::parse(text));
+      const std::string once = artifact_to_json(got).dump();
+      const WorstPlanArtifact again =
+          artifact_from_json(obs::Json::parse(once));
+      ASSERT_EQ(artifact_to_json(again).dump(), once) << text;
+      ASSERT_EQ(again.genome.plan, got.genome.plan) << text;
+      ASSERT_EQ(again.genome.sched_seed, got.genome.sched_seed) << text;
+      ++accepted;
+    } catch (const ContractViolation&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      FAIL() << "non-contract exception " << e.what() << " on " << text;
+    }
+  }
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 1000);
 }
 
 TEST(Artifact, SearchResultReplaysToTheSameViolation) {

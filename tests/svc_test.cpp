@@ -24,6 +24,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -504,6 +505,44 @@ TEST(SvcTest, ForeignAblationIsAnErrorFrame) {
   EXPECT_EQ(err.at("id").as_string(), "r");
   EXPECT_NE(err.at("what").as_string().find("no-guard"), std::string::npos);
   c.read_until("done");
+}
+
+TEST(SvcTest, MalformedArtifactReplayIsAnErrorFrame) {
+  TestServer server;
+  Client c(server.port());
+  c.expect_hello();
+  Json hunt = Json::object();
+  hunt["job"] = Json("cilcoord.job.v1");
+  hunt["kind"] = Json("hunt");
+  hunt["id"] = Json("h");
+  hunt["protocol"] = Json("two");
+  hunt["search"] = Json("uniform");
+  hunt["budget"] = Json(5.0);
+  c.send_line(hunt.dump());
+  const Json good = c.read_until("result").at("worst_plan");
+  c.read_until("done");
+
+  // A seed with trailing bytes, a non-numeric seed and an n past 2^32 each
+  // fail the job with an error frame; none replays as some other artifact.
+  const std::string seed = good.at("sched_seed").as_string();
+  const std::pair<const char*, Json> mutants[] = {
+      {"sched_seed", Json(seed + "abc")},
+      {"sched_seed", Json("abc")},
+      {"n", Json(std::int64_t{4'294'967'298})}};
+  int i = 0;
+  for (const auto& [key, value] : mutants) {
+    Json plan = good;
+    plan[key] = value;
+    Json replay = Json::object();
+    replay["job"] = Json("cilcoord.job.v1");
+    replay["kind"] = Json("replay");
+    replay["id"] = Json("r" + std::to_string(i++));
+    replay["worst_plan"] = plan;
+    c.send_line(replay.dump());
+    const Json err = c.read_until("error");
+    EXPECT_EQ(err.at("id").as_string(), replay.at("id").as_string()) << key;
+    c.read_until("done");
+  }
 }
 
 // -- the job.v1 decoder under mutation ---------------------------------------

@@ -1,6 +1,8 @@
 // Command-line pins that need more than an exit code: what tools/sweep
-// records as a checkpoint's identity, and tools/hunt refusing an ablation
-// that does not belong to its protocol (both resolved by core/registry.h).
+// records as a checkpoint's identity, tools/hunt refusing an ablation that
+// does not belong to its protocol (both resolved by core/registry.h) or a
+// malformed worst-plan artifact, and tools/coordd refusing an empty peer
+// address.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -9,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -104,6 +107,50 @@ TEST(ToolHunt, ForeignOrUnknownAblationExitsTwo) {
   EXPECT_EQ(run(hunt + " --replay=" + plan, log), 2) << read_text(log);
   std::filesystem::remove_all(dir);
 }
+
+TEST(ToolHunt, ReplayOfMalformedArtifactExitsTwo) {
+  const std::string dir = temp_dir("hunt_replay");
+  const std::string hunt = CIL_HUNT_PATH;
+  const std::string log = dir + "/log";
+  const std::string plan = dir + "/plan.json";
+  ASSERT_EQ(run(hunt + " --protocol=two --search=uniform --budget=3"
+                       " --plan-out=" + plan,
+                log),
+            0)
+      << read_text(log);
+  const Json good = Json::parse(read_text(plan));
+  const std::string seed = good.at("sched_seed").as_string();
+  const std::pair<const char*, Json> mutants[] = {
+      {"sched_seed", Json(seed + "abc")},
+      {"sched_seed", Json("abc")},
+      {"n", Json(std::int64_t{4'294'967'298})}};
+  for (const auto& [key, value] : mutants) {
+    Json doc = good;
+    doc[key] = value;
+    ASSERT_TRUE(obs::write_text_file(plan, doc.dump()));
+    EXPECT_EQ(run(hunt + " --replay=" + plan, log), 2)
+        << key << "=" << value.dump() << ": " << read_text(log);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+#ifdef CIL_COORDD_PATH
+TEST(ToolCoordd, EmptyPeerAddressIsAUsageError) {
+  // A trailing or doubled comma in --peers would name an unreachable
+  // fleet member; coordd refuses it before binding anything.
+  const std::string dir = temp_dir("coordd_peers");
+  const std::string coordd = std::string(CIL_COORDD_PATH) +
+                             " --port=0 --fleet-id=0 --peers=";
+  const std::string log = dir + "/log";
+  for (const std::string peers :
+       {"127.0.0.1:1,127.0.0.1:2,", "127.0.0.1:1,,127.0.0.1:2", ","}) {
+    EXPECT_EQ(run(coordd + peers, log), 2) << peers << ": " << read_text(log);
+    EXPECT_NE(read_text(log).find("empty peer address"), std::string::npos)
+        << read_text(log);
+  }
+  std::filesystem::remove_all(dir);
+}
+#endif
 
 }  // namespace
 }  // namespace cil

@@ -138,4 +138,16 @@ bool FlagSet::finish() {
   return !failed_;
 }
 
+std::vector<std::string> split_csv(const std::string& csv) {
+  std::vector<std::string> out;
+  if (csv.empty()) return out;
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t comma = csv.find(',', start);
+    out.push_back(csv.substr(start, comma - start));
+    if (comma == std::string::npos) return out;
+    start = comma + 1;
+  }
+}
+
 }  // namespace cil::cli

@@ -52,4 +52,9 @@ class FlagSet {
   bool failed_ = false;
 };
 
+/// Split a comma-separated flag value into its fields, empty ones included
+/// ("a,,b," has four), so callers can reject an empty field instead of
+/// silently dropping or keeping it. An empty string has no fields.
+std::vector<std::string> split_csv(const std::string& csv);
+
 }  // namespace cil::cli

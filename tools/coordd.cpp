@@ -26,6 +26,7 @@
 //       --election-log=run/elect0.jsonl --fleet-checkpoint=run/ckpt0
 #ifndef _WIN32
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <string>
@@ -96,21 +97,6 @@ int usage() {
       "              [--chaos-drop-prob=P] [--chaos-delay-ms=N]\n"
       "              [--chaos-seed=N]\n");
   return 2;
-}
-
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(csv.substr(start));
-      break;
-    }
-    out.push_back(csv.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
 }
 
 obs::Json stats_to_json(const svc::ServerStats& st) {
@@ -217,7 +203,12 @@ int main(int argc, char** argv) {
   // connection instead of a half-initialised daemon.
   std::unique_ptr<fleet::FleetService> fleet_svc;
   if (has_fleet_id) {
-    fopt.peers = split_csv(peers_csv);
+    fopt.peers = cli::split_csv(peers_csv);
+    if (std::find(fopt.peers.begin(), fopt.peers.end(), "") !=
+        fopt.peers.end()) {
+      std::fprintf(stderr, "coordd: empty peer address in --peers\n");
+      return usage();
+    }
     const int n = static_cast<int>(fopt.peers.size());
     if (n < 1 || fopt.self < 0 || fopt.self >= n) {
       std::fprintf(stderr, "coordd: --fleet-id=%d out of range for %d peers\n",

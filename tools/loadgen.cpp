@@ -22,6 +22,7 @@
 // nonzero on any validation failure or unfinished session.
 #ifndef _WIN32
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -518,21 +519,6 @@ int Fleet::run() {
 // is the fleet's, not the client's: every job must eventually complete with
 // the bit-identical merged summary no matter which daemons it outlives.
 
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) {
-      if (start < csv.size()) out.push_back(csv.substr(start));
-      break;
-    }
-    out.push_back(csv.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
 /// One status_req round-robin over the roster: the first daemon that
 /// answers reports the fleet's current leader (-1 while an election runs).
 int discover_leader(const std::vector<std::string>& roster, int timeout_ms) {
@@ -668,9 +654,13 @@ std::int64_t maybe_kill_peers(const Config& cfg,
 }
 
 int run_fleet_mode(const Config& cfg) {
-  const std::vector<std::string> roster = split_csv(cfg.fleet_csv);
-  if (roster.empty()) return usage();
-  const std::vector<std::string> pid_files = split_csv(cfg.kill_pids_csv);
+  const std::vector<std::string> roster = cli::split_csv(cfg.fleet_csv);
+  const std::vector<std::string> pid_files = cli::split_csv(cfg.kill_pids_csv);
+  const auto has_empty = [](const std::vector<std::string>& fields) {
+    return std::find(fields.begin(), fields.end(), "") != fields.end();
+  };
+  if (roster.empty() || has_empty(roster) || has_empty(pid_files))
+    return usage();
   Xoshiro256 kill_rng(SplitMix64(cfg.kill_seed).next());
 
   SampleSet latency_us;
