@@ -10,15 +10,17 @@
 //     attacks exactly the quantity Theorem 9 bounds);
 //   * corollary — expected running time is a small constant; we also print
 //     the high-water register width: "unbounded" registers that never get
-//     big is the paper's point.
+//     big is the paper's point (X16 adds its rate under crash/recovery).
 #include <algorithm>
 #include <cmath>
 #include <memory>
 
 #include "analysis/explorer.h"
 #include "bench/bench_util.h"
+#include "core/registry.h"
 #include "core/swsr_unbounded.h"
 #include "core/unbounded.h"
+#include "fault/fault_plan.h"
 #include "sched/adversary.h"
 #include "sched/schedulers.h"
 #include "util/stats.h"
@@ -143,6 +145,24 @@ int main() {
            fmt_int(specs[0].width_bits) + "b x " +
                fmt_int(static_cast<std::int64_t>(specs.size()))});
     }
+  }
+
+  header("X16: under fig2-crash's plan, every run (pooled scalar rig)");
+  {
+    // P0 fail-stops after its 2nd own step and restarts 8 global steps
+    // later. Figure 2 never takes the lane kernel: report-only rate.
+    const auto plan =
+        fault::FaultPlan::parse("fp1;seed=1;crash=0@2;recover=0@8");
+    BatchRunner batch(protocol, registry::sweep_inputs(3));
+    BatchOptions opts;
+    opts.num_runs = kRuns;
+    opts.threads = bench_threads();
+    opts.fault_plan = &plan;
+    const BatchSummary b = batch.run(opts);
+    add_batch_report(report, "crash-recovery", b);
+    std::printf("  [crash-recovery: %.2f us/run, %lld recoveries]\n",
+                1e6 * b.wall_seconds / static_cast<double>(b.num_runs),
+                static_cast<long long>(b.recoveries));
   }
 
   std::printf("\n");

@@ -463,7 +463,7 @@ std::vector<RegisterSpec> BoundedThreeProtocol::registers() const {
   std::vector<RegisterSpec> specs;
   for (ProcessId p = 0; p < 3; ++p) {
     RegisterSpec s;
-    s.name = "r" + std::to_string(p);
+    s.name = std::string("r").append(std::to_string(p));
     s.writers = {p};
     for (ProcessId q = 0; q < 3; ++q)
       if (q != p) s.readers.push_back(q);

@@ -122,7 +122,7 @@ std::vector<RegisterSpec> NaiveConsensusProtocol::registers() const {
   std::vector<RegisterSpec> specs;
   for (ProcessId p = 0; p < n_; ++p) {
     RegisterSpec s;
-    s.name = "r" + std::to_string(p);
+    s.name = std::string("r").append(std::to_string(p));
     s.writers = {p};
     for (ProcessId q = 0; q < n_; ++q)
       if (q != p) s.readers.push_back(q);

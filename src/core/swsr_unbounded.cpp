@@ -164,7 +164,8 @@ std::vector<RegisterSpec> SwsrUnboundedProtocol::registers() const {
     for (ProcessId j = 0; j < n_; ++j) {
       if (j == i) continue;
       RegisterSpec s;
-      s.name = "r" + std::to_string(i) + "to" + std::to_string(j);
+      s.name = std::string("r").append(std::to_string(i)).append("to").append(
+          std::to_string(j));
       s.writers = {i};
       s.readers = {j};
       s.width_bits = UnboundedProtocol::kPrefField.bits +
@@ -186,8 +187,8 @@ std::unique_ptr<Process> SwsrUnboundedProtocol::make_process(
 std::string SwsrUnboundedProtocol::describe_word(RegisterId, Word w) const {
   const Value pref = UnboundedProtocol::unpack_pref(w);
   if (pref == kNoValue) return "⊥";
-  return "(" + std::to_string(pref) + "," +
-         std::to_string(UnboundedProtocol::unpack_num(w)) + ")";
+  return std::string("(").append(std::to_string(pref)).append(",").append(
+      std::to_string(UnboundedProtocol::unpack_num(w))).append(")");
 }
 
 }  // namespace cil

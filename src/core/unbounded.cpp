@@ -52,12 +52,13 @@ class UnboundedProcess final : public Process {
         begin_phase();
         break;
       case Pc::kRead: {
-        const ProcessId target = read_order_[read_idx_];
+        // Read every other register once, in ascending pid order.
+        const ProcessId target = read_idx_ < pid_ ? read_idx_ : read_idx_ + 1;
         const Word w = ctx.read(target);
         seen_[target] = {UnboundedProtocol::unpack_pref(w),
                          UnboundedProtocol::unpack_num(w)};
         ++read_idx_;
-        if (read_idx_ == static_cast<int>(read_order_.size())) {
+        if (read_idx_ == n_ - 1) {
           evaluate_phase();  // may decide; otherwise moves to kCoinWrite
         }
         break;
@@ -108,12 +109,11 @@ class UnboundedProcess final : public Process {
   }
 
   /// Back to the freshly-constructed state (input not yet supplied),
-  /// keeping seen_/read_order_ at their capacity; the reset_process fast
+  /// keeping seen_ at its capacity; the reset_process fast
   /// path of pooled sweeps.
   void reinit() {
     pc_ = Pc::kWriteInput;
     read_idx_ = 0;
-    read_order_.clear();
     cur_ = old_ = computed_ = RegValue{};
     seen_.assign(static_cast<std::size_t>(n_), RegValue{});
     input_ = decision_ = kNoValue;
@@ -131,9 +131,6 @@ class UnboundedProcess final : public Process {
   void begin_phase() {
     old_ = cur_;  // Figure 2: oldreg <- newreg
     read_idx_ = 0;
-    read_order_.clear();
-    for (ProcessId q = 0; q < n_; ++q)
-      if (q != pid_) read_order_.push_back(q);
   }
 
   // The decision conditions live in a3_rules.h (shared with the SWSR
@@ -168,7 +165,6 @@ class UnboundedProcess final : public Process {
   UnboundedProtocol::Options options_;
   Pc pc_ = Pc::kWriteInput;
   int read_idx_ = 0;
-  std::vector<ProcessId> read_order_;
   RegValue cur_;       ///< Figure 2's newreg (== our register's contents)
   RegValue old_;       ///< Figure 2's oldreg
   RegValue computed_;  ///< the "heads" candidate computed after the reads
@@ -195,7 +191,7 @@ std::vector<RegisterSpec> UnboundedProtocol::registers() const {
   specs.reserve(n_);
   for (ProcessId p = 0; p < n_; ++p) {
     RegisterSpec s;
-    s.name = "r" + std::to_string(p);
+    s.name = std::string("r").append(std::to_string(p));
     s.writers = {p};
     for (ProcessId q = 0; q < n_; ++q)
       if (q != p) s.readers.push_back(q);

@@ -56,8 +56,8 @@ class UnboundedProtocol final : public Protocol {
   std::string describe_word(RegisterId, Word w) const override {
     const Value pref = unpack_pref(w);
     if (pref == kNoValue) return "⊥";
-    return "(" + std::to_string(pref) + "," + std::to_string(unpack_num(w)) +
-           ")";
+    return std::string("(").append(std::to_string(pref)).append(",").append(
+        std::to_string(unpack_num(w))).append(")");
   }
 
   // Register word layout: pref in the low 8 bits (0 = ⊥, value v = v + 1),

@@ -52,6 +52,15 @@ Num parse_num(const std::string& s, std::size_t& pos) {
   return value;
 }
 
+// A fault rate at s[pos]; advances pos. serialize() writes only positive
+// rates, so any other one is refused: its token, with the burst/depth/
+// window it carries, would vanish on the round trip.
+double parse_rate(const std::string& s, std::size_t& pos) {
+  const double p = parse_num<double>(s, pos);
+  if (!(p > 0)) bad(s, "fault rate must be > 0");
+  return p;
+}
+
 // Expects literal `c` at s[pos]; advances pos.
 void expect(const std::string& s, std::size_t& pos, char c) {
   if (pos >= s.size() || s[pos] != c)
@@ -212,25 +221,18 @@ FaultPlan FaultPlan::parse(const std::string& text) {
       std::size_t pos = 0;
       plan.seed = parse_num<std::uint64_t>(val, pos);
       if (pos != val.size()) bad(text, "trailing characters after seed");
-    } else if (key == "crash") {
+    } else if (key == "crash" || key == "recover") {  // pid@step, pid@delay
       for (const std::string& item : split(val, ',')) {
         std::size_t pos = 0;
-        CrashEvent e;
-        e.pid = parse_num<ProcessId>(item, pos);
+        const auto pid = parse_num<ProcessId>(item, pos);
         expect(item, pos, '@');
-        e.at_step = parse_num<std::int64_t>(item, pos);
-        if (pos != item.size()) bad(text, "malformed crash event");
-        plan.crashes.push_back(e);
-      }
-    } else if (key == "recover") {
-      for (const std::string& item : split(val, ',')) {
-        std::size_t pos = 0;
-        RecoveryEvent e;
-        e.pid = parse_num<ProcessId>(item, pos);
-        expect(item, pos, '@');
-        e.delay = parse_num<std::int64_t>(item, pos);
-        if (pos != item.size()) bad(text, "malformed recover event");
-        plan.recoveries.push_back(e);
+        const auto at = parse_num<std::int64_t>(item, pos);
+        if (pos != item.size()) bad(text, "malformed " + key + " event");
+        if (key == "crash") {
+          plan.crashes.push_back({pid, at});
+        } else {
+          plan.recoveries.push_back({pid, at});
+        }
       }
     } else if (key == "stall") {
       for (const std::string& item : split(val, ',')) {
@@ -249,7 +251,7 @@ FaultPlan FaultPlan::parse(const std::string& text) {
         if (item.size() < 4 || item[2] != ':') bad(text, "malformed reg token");
         const std::string tag = item.substr(0, 2);
         std::size_t pos = 3;
-        const double prob = parse_num<double>(item, pos);
+        const double prob = parse_rate(item, pos);
         if (tag == "fl") {
           plan.registers.flicker_prob = prob;
           expect(item, pos, 'x');
@@ -272,7 +274,7 @@ FaultPlan FaultPlan::parse(const std::string& text) {
         if (item.size() < 4 || item[2] != ':') bad(text, "malformed msg token");
         const std::string tag = item.substr(0, 2);
         std::size_t pos = 3;
-        const double prob = parse_num<double>(item, pos);
+        const double prob = parse_rate(item, pos);
         if (tag == "dr") {
           plan.messages.drop_prob = prob;
         } else if (tag == "du") {
@@ -289,7 +291,7 @@ FaultPlan FaultPlan::parse(const std::string& text) {
     } else if (key == "cell") {
       if (val.rfind("gp:", 0) != 0) bad(text, "malformed cell section");
       std::size_t pos = 3;
-      plan.registers.cells.garbage_prob = parse_num<double>(val, pos);
+      plan.registers.cells.garbage_prob = parse_rate(val, pos);
       expect(val, pos, 'r');
       plan.registers.cells.garbage_rounds = parse_num<int>(val, pos);
       expect(val, pos, 's');

@@ -6,32 +6,33 @@
 
 namespace cil::fault {
 
-namespace {
-// Clamp the stale-read history so pathological configs stay bounded.
-constexpr int kMaxStaleDepth = 16;
-}  // namespace
-
 SimRegisterFaults::SimRegisterFaults(const RegisterFaultConfig& config,
                                      std::uint64_t seed, int num_registers)
     : config_(config),
-      rng_(seed ^ 0x51f4a7e9d2c3b1ULL),
+      rng_(0),
       regs_(static_cast<std::size_t>(num_registers)) {
   CIL_EXPECTS(num_registers >= 1);
+  // Clamp the stale-read history so pathological configs stay bounded.
   config_.stale_depth = std::clamp(config_.stale_depth, 1, kMaxStaleDepth);
+  rearm(seed);
+}
+
+void SimRegisterFaults::rearm(std::uint64_t seed) {
+  rng_.reseed(seed ^ 0x51f4a7e9d2c3b1ULL);
+  std::fill(regs_.begin(), regs_.end(), PerRegister{});
+  faults_ = 0;
 }
 
 void SimRegisterFaults::on_write(RegisterId r, ProcessId, Word value) {
   PerRegister& reg = regs_[static_cast<std::size_t>(r)];
-  if (config_.delay_prob > 0 && !reg.history.empty() &&
+  if (config_.delay_prob > 0 && reg.writes > 0 &&
       rng_.with_probability(config_.delay_prob)) {
     // Readers keep seeing the pre-write value for the next delay_window
     // reads of this register — the write "hasn't propagated yet".
     reg.serving_old = config_.delay_window;
-    reg.old_value = reg.history.back();
+    reg.old_value = reg.recent(0);
   }
-  reg.history.push_back(value);
-  while (static_cast<int>(reg.history.size()) > config_.stale_depth + 1)
-    reg.history.pop_front();
+  reg.ring[static_cast<std::size_t>(reg.writes++ % kRing)] = value;
 }
 
 Word SimRegisterFaults::on_read(RegisterId r, ProcessId, Word actual) {
@@ -41,33 +42,46 @@ Word SimRegisterFaults::on_read(RegisterId r, ProcessId, Word actual) {
     ++faults_;
     return reg.old_value;
   }
-  if (config_.stale_prob > 0 && reg.history.size() >= 2 &&
+  // The history a stale read may reach: the last stale_depth + 1 writes.
+  const auto held = std::min<std::int64_t>(reg.writes, config_.stale_depth + 1);
+  if (config_.stale_prob > 0 && held >= 2 &&
       rng_.with_probability(config_.stale_prob)) {
-    const auto max_age =
-        std::min<std::uint64_t>(config_.stale_depth, reg.history.size() - 1);
-    const auto age = 1 + rng_.below(max_age);
+    const auto age = 1 + rng_.below(static_cast<std::uint64_t>(held - 1));
     ++faults_;
-    return reg.history[reg.history.size() - 1 - age];
+    return reg.recent(static_cast<std::int64_t>(age));
   }
   return actual;
 }
 
 FaultPlanScheduler::FaultPlanScheduler(Scheduler& inner, const FaultPlan& plan)
-    : inner_(inner),
-      pending_crashes_(plan.crashes),
-      rng_(plan.seed ^ 0x57a11e4d5c8e2fULL) {
-  stalls_.reserve(plan.stalls.size());
+    : inner_(&inner), rng_(0) {
+  rearm(inner, plan);
+}
+
+void FaultPlanScheduler::rearm(Scheduler& inner, const FaultPlan& plan) {
+  inner_ = &inner;
+  sink_ = nullptr;
+  pending_crashes_.assign(plan.crashes.begin(), plan.crashes.end());
+  stalls_.clear();
   for (const StallEvent& e : plan.stalls) stalls_.push_back({e, false, 0});
-  recoveries_.reserve(plan.recoveries.size());
+  recoveries_.clear();
   for (const RecoveryEvent& e : plan.recoveries)
     recoveries_.push_back({e, false, 0});
+  crash_log_.clear();
+  rng_.reseed(plan.seed ^ 0x57a11e4d5c8e2fULL);
+  crashes_fired_ = stalls_fired_ = recoveries_fired_ = 0;
+  armed_recoveries_ = 0;
 }
 
 std::vector<ProcessId> FaultPlanScheduler::crashes(const SystemView& view) {
   std::vector<ProcessId> out;
+  if (pending_crashes_.empty()) return out;
   std::erase_if(pending_crashes_, [&](const CrashEvent& e) {
     if (view.crashed(e.pid)) return true;  // already dead (duplicate plan)
-    if (view.steps_of(e.pid) < e.at_step) return false;
+    // Short of its step: wait — unless the pid decided, since a decided
+    // processor takes no further steps and the crash is moot (retired).
+    if (view.steps_of(e.pid) < e.at_step)
+      return view.process(e.pid).decided();
     out.push_back(e.pid);
     crash_log_.push_back({e.pid, view.steps_of(e.pid)});
     ++crashes_fired_;
@@ -77,6 +91,7 @@ std::vector<ProcessId> FaultPlanScheduler::crashes(const SystemView& view) {
       if (r.event.pid == e.pid && !r.armed) {
         r.armed = true;
         r.due_total_step = view.total_steps() + r.event.delay;
+        ++armed_recoveries_;
       }
     }
     return true;
@@ -86,18 +101,22 @@ std::vector<ProcessId> FaultPlanScheduler::crashes(const SystemView& view) {
 
 std::vector<ProcessId> FaultPlanScheduler::recoveries(const SystemView& view) {
   std::vector<ProcessId> out;
+  if (armed_recoveries_ == 0) return out;
   std::erase_if(recoveries_, [&](const PendingRecovery& r) {
     if (!r.armed) return false;
-    if (!view.crashed(r.event.pid)) return true;  // already back somehow
-    if (view.total_steps() < r.due_total_step) return false;
-    out.push_back(r.event.pid);
-    ++recoveries_fired_;
+    if (view.crashed(r.event.pid)) {
+      if (view.total_steps() < r.due_total_step) return false;
+      out.push_back(r.event.pid);
+      ++recoveries_fired_;
+    }  // else: already back somehow — drop it
+    --armed_recoveries_;
     return true;
   });
   return out;
 }
 
 bool FaultPlanScheduler::recovery_pending(const SystemView& view) const {
+  if (armed_recoveries_ == 0) return false;
   for (const PendingRecovery& r : recoveries_) {
     if (r.armed && view.crashed(r.event.pid) &&
         view.total_steps() < r.due_total_step)
@@ -115,6 +134,7 @@ bool FaultPlanScheduler::stalled(const SystemView& view, ProcessId p) const {
 }
 
 ProcessId FaultPlanScheduler::pick(const SystemView& view) {
+  if (stalls_.empty()) return inner_->pick(view);
   // Activate stalls whose trigger step has been reached.
   for (PendingStall& s : stalls_) {
     if (!s.started && view.steps_of(s.event.pid) >= s.event.at_step) {
@@ -133,19 +153,13 @@ ProcessId FaultPlanScheduler::pick(const SystemView& view) {
     }
   }
 
-  view.active_processes_into(active_);
   runnable_.clear();
-  bool any_stalled = false;
-  for (const ProcessId p : active_) {
-    if (stalled(view, p)) {
-      any_stalled = true;
-    } else {
-      runnable_.push_back(p);
-    }
-  }
+  for (const ProcessId p : view.active_list())
+    if (!stalled(view, p)) runnable_.push_back(p);
   // Holding a pid back is only possible while someone else can run; the
   // asynchronous model never lets the adversary stop the whole system.
-  if (!any_stalled || runnable_.empty()) return inner_.pick(view);
+  if (runnable_.size() == view.active_list().size() || runnable_.empty())
+    return inner_->pick(view);
   return runnable_[rng_.below(runnable_.size())];
 }
 

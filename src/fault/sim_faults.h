@@ -16,8 +16,8 @@
 // Both are deterministic: same plan + same inner scheduler = same run.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -31,8 +31,14 @@ namespace cil::fault {
 /// with sim.mutable_regs().set_fault_hook(&hook); keep alive for the run.
 class SimRegisterFaults final : public RegisterFaultHook {
  public:
+  /// Stale reads reach back at most this many writes (config clamp).
+  static constexpr int kMaxStaleDepth = 16;
+
   SimRegisterFaults(const RegisterFaultConfig& config, std::uint64_t seed,
                     int num_registers);
+  /// Back to the state the constructor leaves (same config and register
+  /// count, fault stream restarted from `seed`); allocates nothing.
+  void rearm(std::uint64_t seed);
 
   void on_write(RegisterId r, ProcessId p, Word value) override;
   Word on_read(RegisterId r, ProcessId p, Word actual) override;
@@ -40,10 +46,17 @@ class SimRegisterFaults final : public RegisterFaultHook {
   std::int64_t faults_injected() const override { return faults_; }
 
  private:
+  static constexpr std::int64_t kRing = kMaxStaleDepth + 1;
   struct PerRegister {
-    std::deque<Word> history;   ///< committed values, oldest first
+    std::array<Word, kRing> ring{};  ///< committed values, by write count
+    std::int64_t writes = 0;
     int serving_old = 0;        ///< reads left that still see the old value
     Word old_value = 0;         ///< value visible while serving_old > 0
+
+    /// The value committed `age` writes before the latest (age < writes).
+    Word recent(std::int64_t age) const {
+      return ring[static_cast<std::size_t>((writes - 1 - age) % kRing)];
+    }
   };
 
   RegisterFaultConfig config_;
@@ -60,6 +73,11 @@ class SimRegisterFaults final : public RegisterFaultHook {
 class FaultPlanScheduler final : public Scheduler {
  public:
   FaultPlanScheduler(Scheduler& inner, const FaultPlan& plan);
+  /// Restore exactly the state FaultPlanScheduler(inner, plan) starts in —
+  /// event cursors, crash log, counters, stall stream, no event sink —
+  /// reusing the buffers already held, so pooled sweeps re-arm per seed
+  /// without allocating once warm.
+  void rearm(Scheduler& inner, const FaultPlan& plan);
 
   ProcessId pick(const SystemView& view) override;
   std::vector<ProcessId> crashes(const SystemView& view) override;
@@ -96,18 +114,18 @@ class FaultPlanScheduler final : public Scheduler {
   };
   bool stalled(const SystemView& view, ProcessId p) const;
 
-  Scheduler& inner_;
+  Scheduler* inner_;
   obs::EventSink* sink_ = nullptr;
   std::vector<CrashEvent> pending_crashes_;
   std::vector<PendingStall> stalls_;
   std::vector<PendingRecovery> recoveries_;
   std::vector<CrashEvent> crash_log_;
-  std::vector<ProcessId> active_;    ///< scratch, reused across picks
   std::vector<ProcessId> runnable_;  ///< scratch, reused across picks
   Rng rng_;
   std::int64_t crashes_fired_ = 0;
   std::int64_t stalls_fired_ = 0;
   std::int64_t recoveries_fired_ = 0;
+  int armed_recoveries_ = 0;  ///< recoveries_ entries with armed set
 };
 
 }  // namespace cil::fault

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/bitfield.h"
-
 namespace cil {
 
 RegisterSpecTable::RegisterSpecTable(std::vector<RegisterSpec> specs)
@@ -52,31 +50,6 @@ RegisterFile::RegisterFile(std::shared_ptr<const RegisterSpecTable> table)
       values_(initial_values(*table_)),
       stats_(values_.size()) {
   CIL_EXPECTS(table_ != nullptr);
-}
-
-Word RegisterFile::read(RegisterId r, ProcessId p) {
-  check_id(r);
-  CIL_CHECK_MSG(table_->reader_allowed(r, p),
-                "process not in reader set of " + table_->spec(r).name);
-  ++stats_[r].reads;
-  if (fault_hook_ != nullptr) [[unlikely]]
-    return fault_hook_->on_read(r, p, values_[r]);
-  return values_[r];
-}
-
-void RegisterFile::write(RegisterId r, ProcessId p, Word value) {
-  check_id(r);
-  CIL_CHECK_MSG(table_->writer_allowed(r, p),
-                "process not in writer set of " + table_->spec(r).name);
-  CIL_CHECK_MSG((value & ~table_->width_mask(r)) == 0,
-                "write exceeds declared width of " + table_->spec(r).name);
-  ++stats_[r].writes;
-  stats_[r].max_bits_written =
-      std::max(stats_[r].max_bits_written, bit_width_u64(value));
-  values_[r] = value;
-  ++write_version_;
-  if (fault_hook_ != nullptr) [[unlikely]]
-    fault_hook_->on_write(r, p, value);
 }
 
 Word RegisterFile::peek(RegisterId r) const {

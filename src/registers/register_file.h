@@ -17,11 +17,13 @@
 // short-lived RegisterFiles a bench or search sweep creates.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "util/bitfield.h"
 #include "util/check.h"
 
 namespace cil {
@@ -116,11 +118,33 @@ class RegisterFile {
 
   int size() const { return table_->size(); }
 
-  /// Atomic read by process `p`. Enforces the reader set.
-  Word read(RegisterId r, ProcessId p);
+  /// Atomic read by process `p`. Enforces the reader set. Inline: it sits
+  /// under every simulated step.
+  Word read(RegisterId r, ProcessId p) {
+    check_id(r);
+    CIL_CHECK_MSG(table_->reader_allowed(r, p),
+                  "process not in reader set of " + table_->spec(r).name);
+    ++stats_[r].reads;
+    if (fault_hook_ != nullptr) [[unlikely]]
+      return fault_hook_->on_read(r, p, values_[r]);
+    return values_[r];
+  }
 
   /// Atomic write by process `p`. Enforces the writer set and the width.
-  void write(RegisterId r, ProcessId p, Word value);
+  void write(RegisterId r, ProcessId p, Word value) {
+    check_id(r);
+    CIL_CHECK_MSG(table_->writer_allowed(r, p),
+                  "process not in writer set of " + table_->spec(r).name);
+    CIL_CHECK_MSG((value & ~table_->width_mask(r)) == 0,
+                  "write exceeds declared width of " + table_->spec(r).name);
+    ++stats_[r].writes;
+    stats_[r].max_bits_written =
+        std::max(stats_[r].max_bits_written, bit_width_u64(value));
+    values_[r] = value;
+    ++write_version_;
+    if (fault_hook_ != nullptr) [[unlikely]]
+      fault_hook_->on_write(r, p, value);
+  }
 
   /// Unchecked read for schedulers/analysers (they are outside the model and
   /// the adaptive adversary is allowed to see everything).

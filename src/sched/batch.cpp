@@ -5,10 +5,8 @@
 #include <cstdio>
 #include <exception>
 #include <limits>
-#include <optional>
 #include <thread>
 
-#include "fault/sim_faults.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -20,6 +18,19 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
+}
+
+/// The summary's facts about one run, from either engine's harvest view.
+RunRecord record_of(const LaneRunView& v) {
+  RunRecord rec;
+  rec.total_steps = v.total_steps;
+  rec.steps_p0 = v.steps_p0;
+  rec.steps_p1 = v.steps_p1;
+  rec.recoveries = v.recoveries;
+  rec.max_register_bits = v.max_register_bits;
+  rec.decision = v.decision;
+  rec.all_decided = v.all_decided;
+  return rec;
 }
 
 }  // namespace
@@ -138,8 +149,8 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
   }
   if (options.num_runs == 0) return out;
 
-  // One LaneRunOptions mapping shared by the width report and every lane
-  // worker, so they cannot drift.
+  // One LaneRunOptions mapping shared by the width report, every lane
+  // worker and every scalar worker's ScalarRig, so they cannot drift.
   const auto lane_options = [&options] {
     LaneRunOptions lo;
     lo.lanes = options.lanes;
@@ -203,15 +214,7 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
         complete = engine.run(
             options.first_seed + static_cast<std::uint64_t>(begin),
             end - begin, lo, [&](const LaneRunView& v) {
-              RunRecord rec;
-              rec.total_steps = v.total_steps;
-              rec.steps_p0 = v.steps_p0;
-              rec.steps_p1 = v.steps_p1;
-              rec.recoveries = v.recoveries;
-              rec.max_register_bits = v.max_register_bits;
-              rec.decision = v.decision;
-              rec.all_decided = v.all_decided;
-              tally.add_run(v.seed, rec, false);
+              tally.add_run(v.seed, record_of(v), false);
               if (after_run != nullptr) after_run(v.seed);
             });
       } catch (...) {
@@ -242,14 +245,7 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
                       "BatchRunner: scheduler factory returned null provider");
       }
       SpecScheduler spec_sched(options.lane_sched);
-      std::optional<Simulation> sim;
-      // Fault rig, re-armed per seed: FaultPlanScheduler wants fresh event
-      // cursors for every run, and the register hook must be re-installed
-      // after every reset (RegisterFile::reset clears it). Keyed by the
-      // plan's own seed so every run sees the same fault stream — the same
-      // rig LaneEngine's fallback builds, hence engine-invariant summaries.
-      std::optional<fault::FaultPlanScheduler> plan_sched;
-      std::optional<fault::SimRegisterFaults> reg_faults;
+      ScalarRig rig(protocol_, inputs_, lane_options());
       for (; i < end; ++i) {
         if (options.cancel != nullptr &&
             options.cancel->load(std::memory_order_relaxed)) {
@@ -258,47 +254,17 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
         }
         const std::uint64_t seed =
             options.first_seed + static_cast<std::uint64_t>(i);
-        SimOptions so;
-        so.seed = seed;
-        so.max_total_steps = options.max_total_steps;
-        so.check_every = options.check_every;
-        so.check_consistency = options.check_consistency;
-        so.check_nontriviality = options.check_nontriviality;
-
         const auto c0 = Clock::now();
-        if (!sim) {
-          sim.emplace(protocol_, inputs_, so);
-        } else {
-          sim->reset(inputs_, so);
-        }
-        Scheduler* sched = provide ? &provide(seed) : &spec_sched.arm(seed);
-        if (options.fault_plan != nullptr) {
-          plan_sched.emplace(*sched, *options.fault_plan);
-          sched = &*plan_sched;
-          if (options.fault_plan->registers.any_word_faults()) {
-            reg_faults.emplace(options.fault_plan->registers,
-                               options.fault_plan->seed, sim->regs().size());
-            sim->mutable_regs().set_fault_hook(&*reg_faults);
-          }
-        }
+        Scheduler& sched =
+            rig.arm(seed, provide ? provide(seed) : spec_sched.arm(seed));
         const auto c1 = Clock::now();
-        const SimResult r = sim->run(*sched);
+        const SimResult& r = rig.run(sched);
         const auto c2 = Clock::now();
         tally.construct_seconds += seconds_between(c0, c1);
         tally.run_seconds += seconds_between(c1, c2);
 
-        RunRecord rec;
-        rec.total_steps = r.total_steps;
-        if (!r.steps_per_process.empty()) {
-          rec.steps_p0 = r.steps_per_process[0];
-          if (r.steps_per_process.size() > 1)
-            rec.steps_p1 = r.steps_per_process[1];
-        }
-        rec.recoveries = r.recoveries;
-        rec.max_register_bits = r.max_register_bits;
-        rec.decision = r.decision.value_or(kNoValue);
-        rec.all_decided = r.all_decided;
-        if (probe != nullptr) rec.probe = probe(*sim, r);
+        RunRecord rec = record_of(lane_run_view(seed, r));
+        if (probe != nullptr) rec.probe = probe(rig.simulation(), r);
         tally.add_run(seed, rec, probe != nullptr);
         if (after_run != nullptr) after_run(seed);
       }

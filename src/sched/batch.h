@@ -4,8 +4,8 @@
 // bench, tail plot, and fitness sweep in this repo. BatchRunner executes
 // such a sweep with two amortizations the per-run path cannot have:
 //
-//  * POOLING: each worker owns ONE Simulation and re-arms it per seed via
-//    Simulation::reset(), so the per-run cost is re-initialization at
+//  * POOLING: each worker owns ONE ScalarRig (sched/lane_engine.h) and
+//    re-arms it per seed, so the per-run cost is re-initialization at
 //    existing capacity, not construction (allocation-free for the core
 //    protocols after warmup; pinned by batch_test's counting allocator).
 //  * SHARDING: the seed range [first_seed, first_seed + num_runs) is split
@@ -87,11 +87,9 @@ struct BatchOptions {
   LaneSchedSpec lane_sched;
   /// Shared fault schedule applied to every run, or null for fault-free
   /// sweeps. Served by BOTH engines with bit-identical summaries: scalar
-  /// workers wrap each seed's scheduler in a FaultPlanScheduler (plus the
-  /// SimRegisterFaults hook when the plan carries word-fault rates); lane
-  /// workers hand the plan to LaneEngine, whose SoA kernel carries
-  /// representable crash/recovery plans in the lanes and falls back to the
-  /// same scalar rig for the rest. Borrowed; must outlive run().
+  /// workers run it through their ScalarRig; LaneEngine carries
+  /// representable crash/recovery plans in the lanes and runs the rest on
+  /// the same ScalarRig. Borrowed; must outlive run().
   const fault::FaultPlan* fault_plan = nullptr;
   /// SIMD width request forwarded to lane workers: 0 picks the widest
   /// compiled width the CPU supports; 1/2/4 force a narrower kernel (for

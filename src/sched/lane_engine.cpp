@@ -780,80 +780,87 @@ Scheduler& SpecScheduler::arm(std::uint64_t seed) {
   return avoid_;
 }
 
+LaneRunView lane_run_view(std::uint64_t seed, const SimResult& r) {
+  LaneRunView v;
+  v.seed = seed;
+  v.total_steps = r.total_steps;
+  if (!r.steps_per_process.empty()) {
+    v.steps_p0 = r.steps_per_process[0];
+    if (r.steps_per_process.size() > 1) v.steps_p1 = r.steps_per_process[1];
+  }
+  v.recoveries = r.recoveries;
+  v.max_register_bits = r.max_register_bits;
+  v.all_decided = r.all_decided;
+  v.decision = r.decision.value_or(kNoValue);
+  v.decisions = r.decisions.data();
+  v.steps_per_process = r.steps_per_process.data();
+  v.num_processes = static_cast<int>(r.decisions.size());
+  v.schedule = r.schedule.data();
+  v.schedule_len = static_cast<std::int64_t>(r.schedule.size());
+  return v;
+}
+
+ScalarRig::ScalarRig(const Protocol& protocol,
+                     const std::vector<Value>& inputs,
+                     const LaneRunOptions& options)
+    : plan_(options.fault_plan), inputs_(inputs), sim_(protocol, inputs_) {
+  options_.max_total_steps = options.max_total_steps;
+  options_.check_every = options.check_every;
+  options_.check_consistency = options.check_consistency;
+  options_.check_nontriviality = options.check_nontriviality;
+  options_.record_schedule = options.record_schedule;
+  options_.obs = options.obs;
+  if (plan_ != nullptr && plan_->registers.any_word_faults())
+    reg_faults_.emplace(plan_->registers, plan_->seed, sim_.regs().size());
+}
+
+Scheduler& ScalarRig::arm(std::uint64_t seed, Scheduler& base) {
+  options_.seed = seed;
+  sim_.reset(inputs_, options_);
+  if (plan_ == nullptr) return base;
+  if (reg_faults_) {  // reset() cleared the hook
+    reg_faults_->rearm(plan_->seed);
+    sim_.mutable_regs().set_fault_hook(&*reg_faults_);
+  }
+  if (plan_sched_) {
+    plan_sched_->rearm(base, *plan_);
+  } else {
+    plan_sched_.emplace(base, *plan_);
+  }
+  return *plan_sched_;
+}
+
+const SimResult& ScalarRig::run(Scheduler& armed) {
+  sim_.run_into(armed, result_);
+  return result_;
+}
+
 bool LaneEngine::run_scalar(std::uint64_t first_seed, std::int64_t num_runs,
                             const LaneRunOptions& options,
                             const LaneHarvest& harvest) {
-  // The divergence path: identical math to a scalar BatchRunner worker —
-  // one pooled Simulation reset per seed, one pooled scheduler re-armed per
-  // seed, the fault plan (if any) applied through a per-seed
-  // FaultPlanScheduler — so "lane diverged" can never mean "result differs".
-  std::optional<Simulation> sim;
+  // The divergence path: the same pooled ScalarRig a scalar BatchRunner
+  // worker runs, so "lane diverged" can never mean "result differs".
+  std::optional<ScalarRig> rig;
+  if (options.scalar_run == nullptr) rig.emplace(protocol_, inputs_, options);
   SpecScheduler spec_sched(options.sched);
-  std::optional<fault::FaultPlanScheduler> plan_sched;
-  std::optional<fault::SimRegisterFaults> reg_faults;
-
+  SimResult custom;
   for (std::int64_t i = 0; i < num_runs; ++i) {
     if (options.cancel != nullptr &&
         options.cancel->load(std::memory_order_relaxed))
       return false;
     const std::uint64_t seed = first_seed + static_cast<std::uint64_t>(i);
-
-    SimResult r;
+    const SimResult* r = &custom;
     try {
-      if (options.scalar_run != nullptr) {
-        r = options.scalar_run(seed);
+      if (rig) {
+        r = &rig->run(rig->arm(seed, spec_sched.arm(seed)));
       } else {
-        SimOptions so;
-        so.seed = seed;
-        so.max_total_steps = options.max_total_steps;
-        so.check_every = options.check_every;
-        so.check_consistency = options.check_consistency;
-        so.check_nontriviality = options.check_nontriviality;
-        so.record_schedule = options.record_schedule;
-        so.obs = options.obs;
-        if (!sim) {
-          sim.emplace(protocol_, inputs_, so);
-        } else {
-          sim->reset(inputs_, so);
-        }
-        Scheduler* sched = &spec_sched.arm(seed);
-        if (options.fault_plan != nullptr) {
-          // Fresh event cursors per seed; the plan itself is shared. Word
-          // faults re-arm per run too (reset() clears the hook), keyed by
-          // the plan's own seed so every run sees the same fault stream —
-          // the cross-engine contract BatchRunner's scalar workers follow.
-          plan_sched.emplace(*sched, *options.fault_plan);
-          sched = &*plan_sched;
-          if (options.fault_plan->registers.any_word_faults()) {
-            reg_faults.emplace(options.fault_plan->registers,
-                               options.fault_plan->seed, sim->regs().size());
-            sim->mutable_regs().set_fault_hook(&*reg_faults);
-          }
-        }
-        r = sim->run(*sched);
+        custom = options.scalar_run(seed);
       }
     } catch (...) {
       failed_run_index_ = i;
       throw;
     }
-
-    LaneRunView v;
-    v.seed = seed;
-    v.total_steps = r.total_steps;
-    if (!r.steps_per_process.empty()) {
-      v.steps_p0 = r.steps_per_process[0];
-      if (r.steps_per_process.size() > 1) v.steps_p1 = r.steps_per_process[1];
-    }
-    v.recoveries = r.recoveries;
-    v.max_register_bits = r.max_register_bits;
-    v.all_decided = r.all_decided;
-    v.decision = r.decision.value_or(kNoValue);
-    v.decisions = r.decisions.data();
-    v.steps_per_process = r.steps_per_process.data();
-    v.num_processes = static_cast<int>(r.decisions.size());
-    v.schedule = r.schedule.data();
-    v.schedule_len = static_cast<std::int64_t>(r.schedule.size());
-    harvest(v);
+    harvest(lane_run_view(seed, *r));
   }
   return true;
 }

@@ -22,9 +22,8 @@
 // The kernel serves TwoProcessProtocol (default mode) with binary inputs
 // under uniformly random scheduling with no observation sink. Everything
 // else — adaptive adversaries, other protocols, wider inputs, observed
-// runs, custom rigs — DIVERGES to the scalar fallback: one pooled
-// Simulation per engine, reset per seed, run through exactly the code path
-// BatchRunner's scalar workers use, so divergent lanes are bit-identical by
+// runs, custom rigs — DIVERGES to the scalar fallback: the pooled ScalarRig
+// BatchRunner's scalar workers run, so divergent lanes are bit-identical by
 // construction rather than by reimplementation. `soa_supported()` reports
 // which path a configuration takes; sweeps need not care.
 //
@@ -48,9 +47,8 @@
 //    recover, including idle clock ticks while every live processor is
 //    done but a restart is still due. Plans the kernel cannot represent
 //    (stalls, word faults, multi-crash, non-conservative recovery
-//    protocols) diverge to the scalar fallback, which wraps each seed's
-//    scheduler in a real FaultPlanScheduler — identical to what
-//    BatchRunner's scalar workers do with the same plan.
+//    protocols) diverge to the scalar fallback's ScalarRig — the one
+//    BatchRunner's scalar workers run.
 //
 //  * RECORDING. record_schedule pushes each stepping lane's pick into its
 //    schedule. Faults and recording are compile-time template arguments,
@@ -61,9 +59,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "fault/fault_plan.h"
+#include "fault/sim_faults.h"
 #include "sched/adversary.h"
 #include "sched/schedulers.h"
 #include "sched/simulation.h"
@@ -124,12 +124,9 @@ struct LaneRunOptions {
   const std::atomic<bool>* cancel = nullptr;
   /// Shared fault schedule applied to every run, or null for fault-free
   /// runs. Representable plans (crash/recovery only — see the header
-  /// comment) run in the SoA kernel's fault cursors; the rest take the scalar
-  /// fallback, which wraps each seed's spec-derived scheduler in a
-  /// FaultPlanScheduler (plus SimRegisterFaults when the plan carries
-  /// word-fault rates) — the exact rig BatchRunner's scalar workers use
-  /// for the same plan. Mutually exclusive with scalar_run (a custom
-  /// runner owns its whole rig). Borrowed; must outlive run().
+  /// comment) run in the SoA kernel's fault cursors; the rest take the
+  /// scalar fallback's ScalarRig. Mutually exclusive with scalar_run (a
+  /// custom runner owns its whole rig). Borrowed; must outlive run().
   const fault::FaultPlan* fault_plan = nullptr;
   /// SIMD width for the SoA kernels: 0 picks the widest compiled width the
   /// CPU supports (downgradable via $CIL_SIMD_WIDTH); 1/2/4 force that
@@ -162,6 +159,39 @@ struct LaneRunView {
 /// lanes finish when their runs do). Callers wanting seed order write into
 /// seed-indexed slots, exactly as BatchRunner does.
 using LaneHarvest = std::function<void(const LaneRunView&)>;
+
+/// The harvest view of a finished scalar run; borrows `r`'s vectors.
+LaneRunView lane_run_view(std::uint64_t seed, const SimResult& r);
+
+/// One worker's pooled scalar per-seed rig: the Simulation, the fault
+/// plan's FaultPlanScheduler and SimRegisterFaults hook (keyed by the
+/// plan's own seed), and the SimResult, all re-armed in place per seed.
+/// BatchRunner's scalar workers and LaneEngine's scalar fallback both run
+/// it, so the engines cannot drift; once warm, a re-arm allocates nothing.
+class ScalarRig {
+ public:
+  /// Uses `options`' per-run SimOptions fields, obs and fault plan
+  /// (borrowed); its lanes, spec and custom runner play no part here.
+  ScalarRig(const Protocol& protocol, const std::vector<Value>& inputs,
+            const LaneRunOptions& options);
+
+  /// Reset for `seed` and return the scheduler the run must use: `base`,
+  /// wrapped in the re-armed plan scheduler when there is a plan.
+  Scheduler& arm(std::uint64_t seed, Scheduler& base);
+  /// Run the armed seed; the result stays valid until the next run().
+  const SimResult& run(Scheduler& armed);
+  /// The pooled Simulation, holding the last run's final state (RunProbe).
+  const Simulation& simulation() const { return sim_; }
+
+ private:
+  SimOptions options_;
+  const fault::FaultPlan* plan_;
+  std::vector<Value> inputs_;
+  Simulation sim_;
+  std::optional<fault::FaultPlanScheduler> plan_sched_;
+  std::optional<fault::SimRegisterFaults> reg_faults_;
+  SimResult result_;
+};
 
 class LaneEngine {
  public:

@@ -30,14 +30,14 @@ bool StarvingScheduler::is_starved(ProcessId p) const {
 }
 
 ProcessId StarvingScheduler::pick(const SystemView& view) {
-  view.active_processes_into(active_);
+  const std::vector<ProcessId>& active = view.active_list();
   preferred_.clear();
-  for (ProcessId p : active_)
+  for (ProcessId p : active)
     if (!is_starved(p)) preferred_.push_back(p);
   if (preferred_.empty()) {
     // Only starved processes remain; the engine requires a legal pick.
-    CIL_CHECK_MSG(!active_.empty(), "StarvingScheduler: no active process");
-    return active_[rng_.below(active_.size())];
+    CIL_CHECK_MSG(!active.empty(), "StarvingScheduler: no active process");
+    return active[rng_.below(active.size())];
   }
   return preferred_[rng_.below(preferred_.size())];
 }

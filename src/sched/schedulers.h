@@ -51,7 +51,6 @@ class StarvingScheduler final : public Scheduler {
   bool is_starved(ProcessId p) const;
   std::vector<ProcessId> starved_;
   Rng rng_;
-  std::vector<ProcessId> active_;     ///< scratch, reused across picks
   std::vector<ProcessId> preferred_;  ///< scratch, reused across picks
 };
 

@@ -72,63 +72,19 @@ class ObservingStepContext final : public StepContext {
 };
 }  // namespace
 
-int SystemView::num_processes() const { return sim_.num_processes(); }
-const RegisterFile& SystemView::regs() const { return sim_.regs(); }
-const Process& SystemView::process(ProcessId p) const {
-  return sim_.process(p);
-}
-bool SystemView::crashed(ProcessId p) const { return sim_.crashed(p); }
-bool SystemView::active(ProcessId p) const { return sim_.active(p); }
-int SystemView::num_active() const { return sim_.num_active(); }
-std::vector<ProcessId> SystemView::active_processes() const {
-  std::vector<ProcessId> out;
-  active_processes_into(out);
-  return out;
-}
-void SystemView::active_processes_into(std::vector<ProcessId>& out) const {
-  out.assign(sim_.active_list().begin(), sim_.active_list().end());
-}
-const std::vector<ProcessId>& SystemView::active_list() const {
-  return sim_.active_list();
-}
-std::int64_t SystemView::total_steps() const { return sim_.total_steps(); }
-std::int64_t SystemView::steps_of(ProcessId p) const {
-  return sim_.steps_of(p);
-}
-std::int64_t SystemView::recoveries() const { return sim_.recoveries(); }
-
 Simulation::Simulation(const Protocol& protocol, std::vector<Value> inputs,
                        SimOptions options)
     : protocol_(protocol),
-      options_(options),
       regs_(protocol.make_registers()),
-      inputs_(std::move(inputs)),
       rng_(options.seed),
       step_ctx_(regs_, 0, coins_) {
+  // One initialization path: construction is a reset of fresh objects, so
+  // reset() ≡ fresh construction holds by definition.
   const int n = protocol_.num_processes();
-  CIL_EXPECTS(static_cast<int>(inputs_.size()) == n);
-  CIL_EXPECTS(options_.check_every >= 1);
-  crashed_.assign(n, false);
-  steps_.assign(n, 0);
-  crash_total_step_.assign(n, -1);
-  decisions_ever_.assign(n, kNoValue);
-  activated_.assign(n, 0);
   procs_.reserve(n);
   active_list_.reserve(n);
-  for (ProcessId p = 0; p < n; ++p) {
-    CIL_EXPECTS(inputs_[p] >= 0);
-    procs_.push_back(protocol_.make_process(p));
-    procs_[p]->init(inputs_[p]);
-    if (!procs_[p]->decided()) active_list_.push_back(p);
-  }
-  // Phase baselines (for kPhaseChange events) are captured lazily on the
-  // first sink attach — an unobserved run never pays the per-process
-  // encode_state() allocations.
-  if (options_.obs.sink != nullptr) {
-    sinks_.push_back(options_.obs.sink);
-    init_phase_baseline();
-    emit_active_set(-1);
-  }
+  for (ProcessId p = 0; p < n; ++p) procs_.push_back(protocol_.make_process(p));
+  reset(inputs, options);
 }
 
 void Simulation::reset(const std::vector<Value>& inputs, SimOptions options) {
@@ -196,11 +152,6 @@ void Simulation::emit(const obs::Event& e) {
   for (obs::EventSink* s : sinks_) s->on_event(e);
 }
 
-bool Simulation::active(ProcessId p) const {
-  CIL_EXPECTS(p >= 0 && p < num_processes());
-  return !crashed_[p] && !procs_[p]->decided();
-}
-
 void Simulation::active_insert(ProcessId p) {
   active_list_.insert(
       std::lower_bound(active_list_.begin(), active_list_.end(), p), p);
@@ -228,12 +179,7 @@ void Simulation::crash(ProcessId p) {
   crashed_[p] = true;
   crash_total_step_[p] = total_steps_;
   if (!sinks_.empty()) {
-    obs::Event e;
-    e.kind = obs::EventKind::kCrash;
-    e.pid = p;
-    e.step = steps_[p];
-    e.total_step = total_steps_;
-    emit(e);
+    emit(event_of(obs::EventKind::kCrash, p));
     if (left_active_set) emit_active_set(p);
   }
 }
@@ -243,9 +189,11 @@ bool Simulation::recover(ProcessId p) {
   CIL_CHECK_MSG(crashed_[p], "recover of a processor that is not crashed");
   if (procs_[p]->decided()) return false;
 
-  RecoveryContext ctx;
+  RecoveryContext& ctx = recovery_ctx_;
   ctx.pid = p;
   ctx.input = inputs_[p];
+  ctx.own_registers.clear();
+  ctx.own_values.clear();
   const RegisterSpecTable& table = regs_.table();
   for (RegisterId r = 0; r < regs_.size(); ++r) {
     if (table.writer_allowed(r, p)) {
@@ -262,28 +210,14 @@ bool Simulation::recover(ProcessId p) {
   --num_crashed_;
   if (!procs_[p]->decided()) active_insert(p);
   ++recoveries_;
-  if (!sinks_.empty()) {
-    obs::Event e;
-    e.kind = obs::EventKind::kRecover;
-    e.pid = p;
-    e.step = steps_[p];
-    e.total_step = total_steps_;
-    e.arg = ctx.steps_missed;
-    emit(e);
-  }
+  if (!sinks_.empty())
+    emit(event_of(obs::EventKind::kRecover, p, ctx.steps_missed));
   // A recovered automaton may already be decided (a conservative re-read of
   // a decision register, or a planted bug); announce it and hold it to the
   // same properties as a decision reached by stepping. Recovery is rare, so
   // this check stays eager even under check_every > 1.
-  if (!sinks_.empty() && procs_[p]->decided()) {
-    obs::Event e;
-    e.kind = obs::EventKind::kDecision;
-    e.pid = p;
-    e.step = steps_[p];
-    e.total_step = total_steps_;
-    e.arg = procs_[p]->decision();
-    emit(e);
-  }
+  if (!sinks_.empty() && procs_[p]->decided())
+    emit(event_of(obs::EventKind::kDecision, p, procs_[p]->decision()));
   if (!sinks_.empty() && !procs_[p]->decided()) emit_active_set(p);
   check_properties_after_step(p);
   return true;
@@ -376,46 +310,29 @@ void Simulation::emit_after_step(ProcessId p, std::int64_t faults_before) {
   if (regs_.fault_hook() != nullptr) {
     const std::int64_t delta =
         regs_.fault_hook()->faults_injected() - faults_before;
-    if (delta > 0) {
-      obs::Event e;
-      e.kind = obs::EventKind::kFaultInjected;
-      e.pid = p;
-      e.step = steps_[p];
-      e.total_step = total_steps_;
-      e.arg = delta;
-      emit(e);
-    }
+    if (delta > 0) emit(event_of(obs::EventKind::kFaultInjected, p, delta));
   }
-  {
-    obs::Event e;
-    e.kind = obs::EventKind::kStep;
-    e.pid = p;
-    e.step = steps_[p];
-    e.total_step = total_steps_;
-    emit(e);
-  }
+  emit(event_of(obs::EventKind::kStep, p));
   if (options_.obs.phase_changes) {
     const std::int64_t ph = phase_of(p);
     if (ph != phase_[p]) {
       phase_[p] = ph;
-      obs::Event e;
-      e.kind = obs::EventKind::kPhaseChange;
-      e.pid = p;
-      e.step = steps_[p];
-      e.total_step = total_steps_;
-      e.arg = ph;
-      emit(e);
+      emit(event_of(obs::EventKind::kPhaseChange, p, ph));
     }
   }
-  if (procs_[p]->decided()) {
-    obs::Event e;
-    e.kind = obs::EventKind::kDecision;
-    e.pid = p;
-    e.step = steps_[p];
-    e.total_step = total_steps_;
-    e.arg = procs_[p]->decision();
-    emit(e);
-  }
+  if (procs_[p]->decided())
+    emit(event_of(obs::EventKind::kDecision, p, procs_[p]->decision()));
+}
+
+obs::Event Simulation::event_of(obs::EventKind kind, ProcessId p,
+                                std::int64_t arg) const {
+  obs::Event e;
+  e.kind = kind;
+  e.pid = p;
+  e.step = steps_[p];
+  e.total_step = total_steps_;
+  e.arg = arg;
+  return e;
 }
 
 void Simulation::check_properties_after_step(ProcessId stepped) {
@@ -447,19 +364,19 @@ void Simulation::check_properties_after_step(ProcessId stepped) {
   }
   if (decisions_ever_[stepped] == kNoValue) decisions_ever_[stepped] = v;
 
-  if (options_.check_nontriviality) {
-    // activated_inputs_ holds the distinct inputs of activated processors,
-    // so this scan is over at most |value domain| entries, not n.
-    const bool is_input_of_active =
-        std::find(activated_inputs_.begin(), activated_inputs_.end(), v) !=
-        activated_inputs_.end();
-    if (!is_input_of_active) {
-      std::ostringstream os;
-      os << "nontriviality violated: P" << stepped << " decided " << v
-         << " which is no activated processor's input";
-      throw CoordinationViolation(os.str());
-    }
-  }
+  if (options_.check_nontriviality) check_nontrivial(stepped, v);
+}
+
+void Simulation::check_nontrivial(ProcessId p, Value v) const {
+  // activated_inputs_ holds the distinct inputs of activated processors,
+  // so this scan is over at most |value domain| entries, not n.
+  if (std::find(activated_inputs_.begin(), activated_inputs_.end(), v) !=
+      activated_inputs_.end())
+    return;
+  std::ostringstream os;
+  os << "nontriviality violated: P" << p << " decided " << v
+     << " which is no activated processor's input";
+  throw CoordinationViolation(os.str());
 }
 
 void Simulation::check_properties_deferred() {
@@ -481,15 +398,8 @@ void Simulation::check_properties_deferred() {
   }
   if (options_.check_nontriviality) {
     for (ProcessId q = 0; q < num_processes(); ++q) {
-      const Value v = decisions_ever_[q];
-      if (v == kNoValue) continue;
-      if (std::find(activated_inputs_.begin(), activated_inputs_.end(), v) ==
-          activated_inputs_.end()) {
-        std::ostringstream os;
-        os << "nontriviality violated: P" << q << " decided " << v
-           << " which is no activated processor's input";
-        throw CoordinationViolation(os.str());
-      }
+      if (decisions_ever_[q] != kNoValue)
+        check_nontrivial(q, decisions_ever_[q]);
     }
   }
 }
@@ -498,9 +408,9 @@ void Simulation::flush_property_checks() {
   if (check_pending_) check_properties_deferred();
 }
 
-SimResult Simulation::result() const {
-  SimResult r;
-  r.decisions.resize(num_processes(), kNoValue);
+void Simulation::result_into(SimResult& r) const {
+  r.decisions.assign(static_cast<std::size_t>(num_processes()), kNoValue);
+  r.decision.reset();
   r.all_decided = true;
   for (ProcessId p = 0; p < num_processes(); ++p) {
     if (procs_[p]->decided()) {
@@ -515,15 +425,14 @@ SimResult Simulation::result() const {
   r.schedule = schedule_;
   r.max_register_bits = regs_.max_bits_written();
   r.recoveries = recoveries_;
-  return r;
 }
 
-SimResult Simulation::run(Scheduler& sched) {
+void Simulation::run_into(Scheduler& sched, SimResult& out) {
   while (total_steps_ < options_.max_total_steps) {
     if (!step_once(sched)) break;
   }
   flush_property_checks();
-  return result();
+  result_into(out);
 }
 
 }  // namespace cil

@@ -9,10 +9,14 @@
 // running list of distinct activated inputs, liveness is a maintained sorted
 // active list updated only on crash/recover/decide transitions (no O(n)
 // scans — idle crashed pids cost nothing), the coin source and step context
-// are constructed once per run, and the unobserved fast path shares one
+// are constructed once per run, SystemView and the register file's checked
+// read/write are inline, and the unobserved fast path shares one
 // accounting block with the observed path instead of duplicating it.
-// Simulation::reset() re-initializes everything in place so sweeps reuse
-// one allocation across seeds (see sched/batch.h for the batched driver).
+// Simulation::reset() re-initializes everything in place (construction is
+// a reset of fresh objects) and run_into() fills a caller-owned SimResult,
+// so sweeps reuse one allocation across seeds: the pooled ScalarRig
+// (sched/lane_engine.h) re-arms the Simulation, the fault plan's scheduler
+// and register hook per seed for BatchRunner and LaneEngine alike.
 #pragma once
 
 #include <cstdint>
@@ -28,73 +32,7 @@
 
 namespace cil {
 
-class Simulation;
-
-/// What a scheduler is allowed to see: everything (the paper's strongest
-/// adversary — registers, internal states, past coins via those states).
-class SystemView {
- public:
-  explicit SystemView(const Simulation& sim) : sim_(sim) {}
-
-  int num_processes() const;
-  const RegisterFile& regs() const;
-  const Process& process(ProcessId p) const;
-  bool crashed(ProcessId p) const;
-  /// Active = not crashed and not decided (a decided processor has quit).
-  bool active(ProcessId p) const;
-  /// Number of active processes — O(1), maintained by the engine.
-  int num_active() const;
-  std::vector<ProcessId> active_processes() const;
-  /// Allocation-free variant: overwrites `out` with the active pids in
-  /// ascending order. Schedulers keep a scratch buffer and reuse it.
-  void active_processes_into(std::vector<ProcessId>& out) const;
-  /// Zero-copy variant: the engine's maintained active list (ascending
-  /// pids), updated on crash/recover/decide transitions only. Valid until
-  /// the next such transition; schedulers that just index it (RandomScheduler)
-  /// pay O(1) per pick instead of an O(n) scan over idle crashed pids.
-  const std::vector<ProcessId>& active_list() const;
-  std::int64_t total_steps() const;
-  /// Own-step count of processor `p` (fault plans key events on it).
-  std::int64_t steps_of(ProcessId p) const;
-  /// Crash-recoveries applied so far; with regs().write_version() this gives
-  /// lookahead caches a complete cheap change-detector for system state.
-  std::int64_t recoveries() const;
-
- private:
-  const Simulation& sim_;
-};
-
-/// The adversary. pick() must return an active process (checked). crashes()
-/// is consulted before each pick and may fail-stop processes (up to n-1 can
-/// die over a run; the engine enforces at least one survivor, matching the
-/// paper's t <= n-1 fault model).
-class Scheduler {
- public:
-  virtual ~Scheduler() = default;
-  virtual ProcessId pick(const SystemView& view) = 0;
-  virtual std::vector<ProcessId> crashes(const SystemView& view) {
-    (void)view;
-    return {};
-  }
-  /// Consulted before crashes() each step: crashed pids to restart via
-  /// Protocol::recover (crash-recovery fault model). Consulted even when
-  /// nothing is active, so a plan whose last survivor(s) decided can still
-  /// bring a crashed processor back and keep the run going.
-  virtual std::vector<ProcessId> recoveries(const SystemView& view) {
-    (void)view;
-    return {};
-  }
-  /// True iff a restart is scheduled but not yet due. When nothing is
-  /// active, the engine idles the global clock forward (one tick per
-  /// step_once, still bounded by max_total_steps) instead of ending the run,
-  /// so a delayed recovery fires at its planned due step and steps_missed
-  /// honestly reflects the planned outage — time does not compress just
-  /// because every survivor already decided.
-  virtual bool recovery_pending(const SystemView& view) const {
-    (void)view;
-    return false;
-  }
-};
+class Scheduler;
 
 struct SimOptions {
   std::int64_t max_total_steps = 1'000'000;
@@ -155,7 +93,14 @@ class Simulation {
   /// Drive to completion (or the step budget). May be called after some
   /// step_once() calls. Flushes any check deferred by check_every > 1
   /// before returning.
-  SimResult run(Scheduler& sched);
+  SimResult run(Scheduler& sched) {
+    SimResult r;
+    run_into(sched, r);
+    return r;
+  }
+  /// run() into a caller-owned result, reusing its vectors' capacity: the
+  /// pooled sweeps' form (sched/lane_engine.h ScalarRig).
+  void run_into(Scheduler& sched, SimResult& out);
 
   /// Fail-stop a processor: it will never be scheduled again (unless a
   /// recovery brings it back).
@@ -174,7 +119,10 @@ class Simulation {
   RegisterFile& mutable_regs() { return regs_; }
   const Process& process(ProcessId p) const { return *procs_[p]; }
   bool crashed(ProcessId p) const { return crashed_[p]; }
-  bool active(ProcessId p) const;
+  bool active(ProcessId p) const {
+    CIL_EXPECTS(p >= 0 && p < num_processes());
+    return !crashed_[p] && !procs_[p]->decided();
+  }
   int num_processes() const { return static_cast<int>(procs_.size()); }
   /// Number of active (not crashed, not decided) processes — O(1).
   int num_active() const { return static_cast<int>(active_list_.size()); }
@@ -183,11 +131,15 @@ class Simulation {
   std::int64_t total_steps() const { return total_steps_; }
   std::int64_t steps_of(ProcessId p) const { return steps_[p]; }
   std::int64_t recoveries() const { return recoveries_; }
-  const std::vector<Value>& inputs() const { return inputs_; }
-  Rng& rng() { return rng_; }
 
   /// Summarize the current state into a SimResult.
-  SimResult result() const;
+  SimResult result() const {
+    SimResult r;
+    result_into(r);
+    return r;
+  }
+  /// result() into a caller-owned buffer, reusing its vectors' capacity.
+  void result_into(SimResult& out) const;
 
   /// Run the deferred property check now, if one is pending (check_every
   /// > 1 only; a no-op otherwise). run() calls this before returning;
@@ -199,7 +151,6 @@ class Simulation {
   /// outlive the simulation (or detach first).
   void attach_sink(obs::EventSink* sink);
   void detach_sink(obs::EventSink* sink);
-  bool observed() const { return !sinks_.empty(); }
 
   /// Dispatch an event to every attached sink (no-op when unobserved).
   /// Public for the engine's own instrumentation helpers; regular callers
@@ -224,6 +175,11 @@ class Simulation {
   /// Pairwise check over every decision ever latched (the check_every > 1
   /// checkpoint form; stepped-processor identity is no longer known).
   void check_properties_deferred();
+  /// Throw unless `v`, decided by `p`, is some activated processor's input.
+  void check_nontrivial(ProcessId p, Value v) const;
+  /// An event about `p`, stamped with its own-step and the global step.
+  obs::Event event_of(obs::EventKind kind, ProcessId p,
+                      std::int64_t arg = 0) const;
   void note_activation(ProcessId p);
   void on_decided(ProcessId p);
   void emit_after_step(ProcessId p, std::int64_t faults_before);
@@ -265,10 +221,77 @@ class Simulation {
   Rng rng_;
   RngCoinSource coins_{rng_};
   DirectStepContext step_ctx_;
+  RecoveryContext recovery_ctx_;  ///< recover()'s scratch, reused
   std::vector<obs::EventSink*> sinks_;
   std::vector<std::int64_t> phase_;  ///< last observed leading state word
                                      ///< (filled lazily on first sink)
 };
+
+/// What a scheduler is allowed to see: everything (the paper's strongest
+/// adversary — registers, internal states, past coins via those states).
+/// Inline throughout: schedulers consult the view on every step.
+class SystemView {
+ public:
+  explicit SystemView(const Simulation& sim) : sim_(sim) {}
+
+  int num_processes() const { return sim_.num_processes(); }
+  const RegisterFile& regs() const { return sim_.regs(); }
+  const Process& process(ProcessId p) const { return sim_.process(p); }
+  bool crashed(ProcessId p) const { return sim_.crashed(p); }
+  /// Active = not crashed and not decided (a decided processor has quit).
+  bool active(ProcessId p) const { return sim_.active(p); }
+  /// Number of active processes — O(1), maintained by the engine.
+  int num_active() const { return sim_.num_active(); }
+  /// The engine's maintained active list (ascending pids), updated on
+  /// crash/recover/decide transitions only and valid until the next one.
+  /// Schedulers index or filter it in place: a pick copies nothing and
+  /// pays nothing for idle crashed pids.
+  const std::vector<ProcessId>& active_list() const {
+    return sim_.active_list();
+  }
+  std::int64_t total_steps() const { return sim_.total_steps(); }
+  /// Own-step count of processor `p` (fault plans key events on it).
+  std::int64_t steps_of(ProcessId p) const { return sim_.steps_of(p); }
+  /// Crash-recoveries applied so far; with regs().write_version() this gives
+  /// lookahead caches a complete cheap change-detector for system state.
+  std::int64_t recoveries() const { return sim_.recoveries(); }
+
+ private:
+  const Simulation& sim_;
+};
+
+/// The adversary. pick() must return an active process (checked). crashes()
+/// is consulted before each pick and may fail-stop processes (up to n-1 can
+/// die over a run; the engine enforces at least one survivor, matching the
+/// paper's t <= n-1 fault model).
+class Scheduler {
+ public:
+  virtual ~Scheduler() = default;
+  virtual ProcessId pick(const SystemView& view) = 0;
+  virtual std::vector<ProcessId> crashes(const SystemView& view) {
+    (void)view;
+    return {};
+  }
+  /// Consulted before crashes() each step: crashed pids to restart via
+  /// Protocol::recover (crash-recovery fault model). Consulted even when
+  /// nothing is active, so a plan whose last survivor(s) decided can still
+  /// bring a crashed processor back and keep the run going.
+  virtual std::vector<ProcessId> recoveries(const SystemView& view) {
+    (void)view;
+    return {};
+  }
+  /// True iff a restart is scheduled but not yet due. When nothing is
+  /// active, the engine idles the global clock forward (one tick per
+  /// step_once, still bounded by max_total_steps) instead of ending the run,
+  /// so a delayed recovery fires at its planned due step and steps_missed
+  /// honestly reflects the planned outage — time does not compress just
+  /// because every survivor already decided.
+  virtual bool recovery_pending(const SystemView& view) const {
+    (void)view;
+    return false;
+  }
+};
+
 
 /// Thrown when a run violates consistency or nontriviality — i.e. when the
 /// protocol under test is *wrong* (used deliberately in tests of the flawed

@@ -415,6 +415,41 @@ TEST(PooledReset, AllocationFreeAfterWarmupForCoreProtocols) {
   check(BoundedThreeProtocol(), {1, 0, 1});
 }
 
+TEST(PooledReset, FaultRigRearmAllocationFree) {
+  // ScalarRig's per-seed re-arm — Simulation::reset, FaultPlanScheduler::
+  // rearm, SimRegisterFaults::rearm — and the result harvest allocate
+  // nothing once warm. (The run itself still may: Protocol::recover builds
+  // the restarted processor.) Checks are off: stale reads void Figure 2's
+  // atomic-register premise, and this measures the rig, not the protocol.
+  const fault::FaultPlan plan = fault::FaultPlan::parse(
+      "fp1;seed=1;crash=0@2;recover=0@8;stall=1@1+3;reg=st:0.05d3");
+  UnboundedProtocol protocol(3);
+  LaneRunOptions lo;
+  lo.check_consistency = false;
+  lo.check_nontriviality = false;
+  lo.fault_plan = &plan;
+  ScalarRig rig(protocol, {0, 1, 0}, lo);
+  RandomScheduler base(0);
+  SimResult harvest;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    base.reseed(seed);
+    (void)rig.run(rig.arm(seed, base));
+    rig.simulation().result_into(harvest);
+  }
+  for (std::uint64_t seed = 6; seed <= 30; ++seed) {
+    std::int64_t before = g_allocations.load(std::memory_order_relaxed);
+    base.reseed(seed);
+    Scheduler& armed = rig.arm(seed, base);
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before)
+        << "re-arm allocated at seed " << seed;
+    (void)rig.run(armed);
+    before = g_allocations.load(std::memory_order_relaxed);
+    rig.simulation().result_into(harvest);
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before)
+        << "result_into allocated at seed " << seed;
+  }
+}
+
 // -- multi-thread fault smoke (the TSan job runs this binary) ---------------
 
 TEST(BatchRunner, MultiThreadCrashRecoverySmoke) {
@@ -634,6 +669,61 @@ TEST(BatchLane, FaultSweepBitIdentity) {
   opts.threads = 1;
   opts.lanes = 1;
   expect_equal_summaries(lane, batch.run(opts, nullptr));
+}
+
+TEST(BatchLane, ScalarRigCallersMatchFreshRigs) {
+  // BatchRunner's scalar workers and LaneEngine's scalar fallback (Figure 2
+  // never takes the sliced kernel) share the pooled ScalarRig. Both must
+  // equal fresh per-seed constructions of the whole rig, under a plan whose
+  // stalls and word faults exercise every re-arm. Checks are off: stale
+  // reads void Figure 2's atomic-register premise.
+  const fault::FaultPlan plan = fault::FaultPlan::parse(
+      "fp1;seed=9;crash=0@2;recover=0@8;stall=1@1+5;reg=st:0.05d3");
+  UnboundedProtocol protocol(3);
+  const std::vector<Value> inputs = {0, 1, 1};
+  BatchOptions opts;
+  opts.first_seed = 11;
+  opts.num_runs = 300;
+  opts.check_consistency = false;
+  opts.check_nontriviality = false;
+  opts.fault_plan = &plan;
+
+  BatchSummary fresh;
+  for (std::uint64_t seed = 11; seed < 311; ++seed) {
+    SimOptions so;
+    so.seed = seed;
+    so.check_consistency = false;
+    so.check_nontriviality = false;
+    Simulation sim(protocol, inputs, so);
+    fault::SimRegisterFaults hook(plan.registers, plan.seed,
+                                  sim.regs().size());
+    sim.mutable_regs().set_fault_hook(&hook);
+    RandomScheduler inner(seed ^ 0x1234);
+    fault::FaultPlanScheduler sched(inner, plan);
+    const SimResult r = sim.run(sched);
+    RunRecord rec;
+    rec.total_steps = r.total_steps;
+    rec.steps_p0 = r.steps_per_process[0];
+    rec.steps_p1 = r.steps_per_process[1];
+    rec.recoveries = r.recoveries;
+    rec.max_register_bits = r.max_register_bits;
+    rec.decision = r.decision.value_or(kNoValue);
+    rec.all_decided = r.all_decided;
+    fresh.add_run(seed, rec, false);
+  }
+  EXPECT_GT(fresh.recoveries, 0);
+
+  BatchRunner batch(protocol, inputs);
+  for (const BatchEngine engine : {BatchEngine::kScalar, BatchEngine::kLane}) {
+    for (const int threads : {1, 3}) {
+      opts.engine = engine;
+      opts.threads = threads;
+      SCOPED_TRACE(testing::Message()
+                   << "lane=" << (engine == BatchEngine::kLane)
+                   << " threads=" << threads);
+      expect_equal_summaries(fresh, batch.run(opts, nullptr));
+    }
+  }
 }
 
 TEST(BatchLane, NonBinaryInputsTakeTheScalarFallback) {

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <exception>
+#include <random>
 #include <set>
 
 #include "core/unbounded.h"
@@ -62,6 +65,127 @@ TEST(FaultPlan, ParseRejectsMalformedStrings) {
   EXPECT_THROW(FaultPlan::parse("fp1;stall=1@2"), ContractViolation);
   EXPECT_THROW(FaultPlan::parse("fp1;reg=zz:0.5x1"), ContractViolation);
   EXPECT_THROW(FaultPlan::parse("fp1;bogus=3"), ContractViolation);
+}
+
+TEST(FaultPlan, ParseRefusesRatesSerializeCannotWriteBack) {
+  // serialize() writes only positive rates; any other rate would drop its
+  // token (and the burst/depth/window riding on it) on the round trip.
+  for (const char* text :
+       {"fp1;reg=fl:0x3", "fp1;reg=st:-0.5d2", "fp1;reg=st:nand2",
+        "fp1;reg=dw:-0w4", "fp1;msg=dr:0", "fp1;msg=de:nanw3",
+        "fp1;cell=gp:0r2s1", "fp1;reg=st:1e309d2"})
+    EXPECT_THROW(FaultPlan::parse(text), ContractViolation) << text;
+  EXPECT_EQ(FaultPlan::parse("fp1;reg=st:infd2").registers.stale_depth, 2);
+}
+
+// -- seeded fuzzer over FaultPlan::parse ------------------------------------
+// Deterministic string mutations of serialized plans: truncate, drop,
+// duplicate or swap `;` fields, swap in boundary integers and odd
+// probabilities, zero a burst/depth/window, or insert a separator. Every
+// mutant must either throw ContractViolation or parse to a plan that
+// round-trips through serialize() and that validate() accepts or refuses
+// with ContractViolation. Nothing else may escape the decoder.
+
+std::string mutate_plan_text(std::string text, std::mt19937_64& gen) {
+  const auto pick = [&gen](std::size_t n) {
+    return static_cast<std::size_t>(gen() % n);
+  };
+  const auto fields = [&text] {
+    std::vector<std::string> out;
+    std::size_t start = 0;
+    for (std::size_t end; (end = text.find(';', start)) != std::string::npos;
+         start = end + 1)
+      out.push_back(text.substr(start, end - start));
+    out.push_back(text.substr(start));
+    return out;
+  };
+  const auto join = [](const std::vector<std::string>& parts) {
+    std::string out;
+    for (std::size_t i = 0; i < parts.size(); ++i)
+      out += (i == 0 ? "" : ";") + parts[i];
+    return out;
+  };
+  static const std::vector<std::string> numbers = {
+      "9223372036854775808", "9223372036854775807", "-9223372036854775808",
+      "18446744073709551615", "18446744073709551616", "2147483648", "-1",
+      "0", "-0", "nan", "inf", "1e309", "-0.5", "1e-320", "0.5", ""};
+  switch (pick(7)) {
+    case 0:  // truncate
+      return text.substr(0, pick(text.size() + 1));
+    case 1: {  // drop a field
+      auto parts = fields();
+      parts.erase(parts.begin() + static_cast<long>(pick(parts.size())));
+      return join(parts);
+    }
+    case 2: {  // duplicate a field
+      auto parts = fields();
+      parts.push_back(parts[pick(parts.size())]);
+      return join(parts);
+    }
+    case 3: {  // swap two fields
+      auto parts = fields();
+      std::swap(parts[pick(parts.size())], parts[pick(parts.size())]);
+      return join(parts);
+    }
+    case 4:
+    case 5: {  // replace a number (or zero a burst/depth/window) in place
+      std::vector<std::size_t> starts;
+      for (std::size_t i = 0; i < text.size(); ++i)
+        if (std::isdigit(static_cast<unsigned char>(text[i])) &&
+            (i == 0 || !std::isdigit(static_cast<unsigned char>(text[i - 1]))))
+          starts.push_back(i);
+      if (starts.empty()) return text + "0";
+      const std::size_t at = starts[pick(starts.size())];
+      std::size_t end = at;
+      while (end < text.size() &&
+             (std::isdigit(static_cast<unsigned char>(text[end])) ||
+              text[end] == '.' || text[end] == 'e' || text[end] == '-'))
+        ++end;
+      const bool burst = at > 0 && std::string("xdw").find(text[at - 1]) !=
+                                       std::string::npos;
+      return text.substr(0, at) +
+             (burst && pick(2) == 0 ? "0" : numbers[pick(numbers.size())]) +
+             text.substr(end);
+    }
+    default: {  // insert a separator or tag character
+      static const std::string chars = ";,=@+:xdw-.";
+      text.insert(pick(text.size() + 1), 1, chars[pick(chars.size())]);
+      return text;
+    }
+  }
+}
+
+TEST(FaultPlanFuzz, MutantsRoundTripOrThrowContractViolation) {
+  FaultPlan with_messages =
+      FaultPlan::random(17, 4, 2, 2, 16, 50, full_plan().registers, 1, 9);
+  with_messages.messages = {0.25, 0.125, 0.5, 3};
+  const std::vector<std::string> bases = {
+      full_plan().serialize(), "fp1;seed=1;crash=0@2;recover=0@8",
+      with_messages.serialize()};
+  std::mt19937_64 gen(0xfa17);
+  int parsed = 0;
+  for (int trial = 0; trial < 6000; ++trial) {
+    std::string text = bases[static_cast<std::size_t>(trial) % bases.size()];
+    for (int k = 1 + static_cast<int>(gen() % 3); k > 0; --k)
+      text = mutate_plan_text(text, gen);
+    try {
+      FaultPlan plan;
+      try {
+        plan = FaultPlan::parse(text);
+      } catch (const ContractViolation&) {
+        continue;
+      }
+      ++parsed;
+      EXPECT_EQ(FaultPlan::parse(plan.serialize()), plan) << text;
+      try {
+        plan.validate(3);
+      } catch (const ContractViolation&) {
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "escaped " << e.what() << " for mutant " << text;
+    }
+  }
+  EXPECT_GT(parsed, 500) << "mutations too destructive to reach the checks";
 }
 
 TEST(FaultPlan, RandomIsDeterministicAndLegal) {
@@ -224,6 +348,67 @@ TEST(FaultPlanScheduler, StallHoldsProcessorBack) {
       std::min(stall_start + 40, r.schedule.size());
   for (std::size_t i = stall_start; i < stall_end; ++i)
     EXPECT_NE(r.schedule[i], 0) << "P0 scheduled inside its stall window";
+}
+
+TEST(FaultPlanScheduler, RearmMatchesFresh) {
+  // Crash + recovery of P1, a stall of P0, and a crash of P2 planned so
+  // late that P2 decides first (the scheduler retires it as moot), plus
+  // word faults. A pooled scheduler and hook, re-armed after each previous
+  // seed's run, must replay exactly what fresh ones do. Stale reads break
+  // Figure 2's atomic-register premise, so the property checks are off:
+  // this compares runs, it does not judge them.
+  const FaultPlan plan = FaultPlan::parse(
+      "fp1;seed=5;crash=1@3,2@100000;recover=1@6;stall=0@2+9;"
+      "reg=st:0.2d3,dw:0.1w2");
+  plan.validate(3);
+  UnboundedProtocol protocol(3);
+  const std::vector<Value> inputs = {0, 1, 1};
+  Simulation pooled_sim(protocol, inputs);
+  RandomScheduler pooled_inner(0);
+  FaultPlanScheduler pooled(pooled_inner, plan);
+  SimRegisterFaults pooled_hook(plan.registers, plan.seed,
+                                pooled_sim.regs().size());
+  std::int64_t recovered = 0, stalled = 0, moot = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const SimOptions so{.seed = seed,
+                        .check_consistency = false,
+                        .check_nontriviality = false,
+                        .record_schedule = true};
+    pooled_sim.reset(inputs, so);
+    pooled_inner.reseed(seed ^ 0x77);
+    pooled.rearm(pooled_inner, plan);
+    pooled_hook.rearm(plan.seed);
+    pooled_sim.mutable_regs().set_fault_hook(&pooled_hook);
+    SimResult a;
+    pooled_sim.run_into(pooled, a);
+
+    Simulation sim(protocol, inputs, so);
+    RandomScheduler inner(seed ^ 0x77);
+    FaultPlanScheduler fresh(inner, plan);
+    SimRegisterFaults hook(plan.registers, plan.seed, sim.regs().size());
+    sim.mutable_regs().set_fault_hook(&hook);
+    const SimResult b = sim.run(fresh);
+
+    EXPECT_EQ(a.schedule, b.schedule) << "pick sequence, seed " << seed;
+    EXPECT_EQ(a.decisions, b.decisions) << seed;
+    EXPECT_EQ(a.decision, b.decision) << seed;
+    EXPECT_EQ(a.all_decided, b.all_decided) << seed;
+    EXPECT_EQ(a.steps_per_process, b.steps_per_process) << seed;
+    EXPECT_EQ(a.total_steps, b.total_steps) << seed;
+    EXPECT_EQ(a.max_register_bits, b.max_register_bits) << seed;
+    EXPECT_EQ(a.recoveries, b.recoveries) << seed;
+    EXPECT_EQ(pooled.crash_log(), fresh.crash_log()) << seed;
+    EXPECT_EQ(pooled.crashes_fired(), fresh.crashes_fired()) << seed;
+    EXPECT_EQ(pooled.stalls_fired(), fresh.stalls_fired()) << seed;
+    EXPECT_EQ(pooled.recoveries_fired(), fresh.recoveries_fired()) << seed;
+    EXPECT_EQ(pooled_hook.faults_injected(), hook.faults_injected()) << seed;
+    recovered += fresh.recoveries_fired();
+    stalled += fresh.stalls_fired();
+    moot += fresh.crashes_fired() == 1 && b.decisions[2] != kNoValue;
+  }
+  EXPECT_GT(recovered, 0);
+  EXPECT_GT(stalled, 0);
+  EXPECT_GT(moot, 0) << "no run retired P2's late crash";
 }
 
 }  // namespace
